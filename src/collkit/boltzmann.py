@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .exceptions import CapabilityError, KernelRejectionError, UnsupportedParameterError
+from .core import _grazing_probe
+from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_nodes, singular_convolution
 from .util import graded_panels, orthonormal_complement, sphere_area, sphere_rule
 
@@ -80,7 +81,7 @@ def post_collision_map(v, v_star, sigma):
 # Kernel constants
 
 
-def kernel_integrability_check(k, q=None):
+def kernel_integrability_check(k):
     """Finite value of the reduced Carleman-kernel integrability integral.
 
     By the rotational symmetry of the hyperplane, the condition collapses to
@@ -88,22 +89,17 @@ def kernel_integrability_check(k, q=None):
         |S^{d-2}| 2^{d-1} int_0^1 x^d (1+x^2)^{-(d+1)/2} b(x/sqrt(1+x^2)) dx,
 
     which is finite exactly when b's grazing singularity is milder than the
-    s = 1 endpoint.  Divergent kernels raise KernelRejectionError; the local
-    power of the integrand near 0 is measured first so that divergence is
-    detected rather than returned as a large number.
+    s = 1 endpoint.  Divergent kernels raise KernelRejectionError from
+    :func:`collkit.core._grazing_probe`, which measures the integrand's local
+    power near 0 first so that divergence is detected rather than returned
+    as a large number.
     """
     d = k.dim
 
     def g(x):
         return x**d * (1.0 + x * x) ** (-(d + 1) / 2.0) * k.b(x / np.sqrt(1.0 + x * x))
 
-    x1, x2 = 1e-6, 1e-5
-    p = np.log(g(x2) / g(x1)) / np.log(x2 / x1)
-    if p <= -1.0 + 1e-6:
-        raise KernelRejectionError(
-            f"kernel integrability fails: integrand ~ x^{p:.3f} near grazing"
-        )
-    val, _ = quad(g, 0.0, 1.0, limit=200, points=[1e-4, 1e-2])
+    val, _ = _grazing_probe(g, 1.0)
     return float(sphere_area(d - 1) * 2.0 ** (d - 1) * val)
 
 
@@ -122,8 +118,7 @@ def cb_constant(k):
     d, g = k.dim, k.gamma
 
     def integrand(theta):
-        x = np.sin(theta / 2.0)
-        beff = k.b(x) + k.b(np.cos(theta / 2.0))
+        beff = k.b_folded(np.sin(theta / 2.0))
         return np.sin(theta) ** (d - 2) * beff * (np.cos(theta / 2.0) ** (-(d + g)) - 1.0)
 
     val, _ = quad(integrand, 0.0, np.pi / 2.0, limit=200, points=[1e-4, 1e-2])

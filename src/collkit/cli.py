@@ -14,17 +14,21 @@ One command per process, configured by an INI file::
     [quadrature]
     hyperplane_nodes = 16
 
-Unknown sections or keys are rejected.  Every invocation writes its result
-artifacts (JSON/CSV) plus a ``manifest.json`` (echoed config, package
-version, wall time) into the output directory.  Identical config and seed
-produce byte-identical result artifacts; the manifest carries the only
-non-deterministic field (wall time).
+Besides ``[run]``, ``[kernel]`` and ``[quadrature]``, only the chosen
+command's own section is accepted; unknown sections or keys are rejected.
+The cross-section ``b`` alone decides whether a Boltzmann kernel is cutoff.
+Every invocation writes its result artifacts (JSON/CSV) plus a
+``manifest.json`` (echoed config, package version, wall time) into the
+output directory.  Identical config produces byte-identical result
+artifacts; the manifest carries the only non-deterministic field (wall
+time).
 
 Exit codes: 0 success, 2 infeasible search result, 1 any other error.
 """
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 import time
@@ -39,23 +43,15 @@ from .core import KernelSpec, QuadratureScheme, make_barrier
 from .exceptions import CollkitError, InfeasibleError
 from .landau import q_landau
 
-COMMANDS = ("landau-eval", "boltzmann-eval", "barrier-check", "delta-search",
-            "m0-search", "homog-run", "hydro-verdict")
+_QUADRATURE_TYPES = {f.name: f.type for f in dataclasses.fields(QuadratureScheme)}
 
-_ALLOWED_KEYS = {
-    "run": {"command", "seed"},
-    "kernel": {"dim", "gamma", "operator", "b", "noncutoff_s"},
-    "quadrature": {"outer_radius", "polar_radius", "radial_nodes",
-                   "angular_nodes", "hyperplane_nodes",
-                   "regularization_radius", "rel_tol"},
-    "landau-eval": {"field", "point"},
-    "boltzmann-eval": {"field", "point", "representation"},
-    "barrier-check": {"m", "alpha"},
-    "delta-search": {"target", "m", "d", "gamma"},
-    "m0-search": set(),
-    "homog-run": {"n", "box_radius", "t_end", "cfl", "m", "rho", "theta"},
-    "hydro-verdict": {"gamma"},
+_SHARED_KEYS = {
+    "run": {"command"},
+    "kernel": {"dim", "gamma", "operator", "b"},
+    "quadrature": set(_QUADRATURE_TYPES),
 }
+
+_REPRESENTATIONS = {"sigma": q_boltzmann_sigma, "carleman": q_boltzmann_carleman}
 
 
 class ConfigError(CollkitError):
@@ -70,19 +66,20 @@ def _parse_config(path):
     except configparser.Error as exc:
         line = getattr(exc, "lineno", "?")
         raise ConfigError(f"{path}: parse error at line {line}: {exc}") from None
-    for section in cp.sections():
-        if section not in _ALLOWED_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        extra = set(cp[section]) - _ALLOWED_KEYS[section]
-        if extra:
-            raise ConfigError(
-                f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
-            )
     if "run" not in cp or "command" not in cp["run"]:
         raise ConfigError(f"{path}: missing [run] command")
     cmd = cp["run"]["command"]
     if cmd not in COMMANDS:
         raise ConfigError(f"{path}: unknown command {cmd!r}")
+    allowed = {**_SHARED_KEYS, cmd: COMMANDS[cmd][1]}
+    for section in cp.sections():
+        if section not in allowed:
+            raise ConfigError(f"{path}: section [{section}] is not used by {cmd}")
+        extra = set(cp[section]) - allowed[section]
+        if extra:
+            raise ConfigError(
+                f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
+            )
     return cp
 
 
@@ -99,33 +96,15 @@ def _make_b(name):
 
 def _kernel_from(cp):
     sec = cp["kernel"] if "kernel" in cp else {}
-    dim = int(sec.get("dim", 3))
-    gamma = float(sec.get("gamma", 0.0))
     operator = sec.get("operator", "landau")
-    kwargs = {}
-    if operator == "boltzmann":
-        s = sec.get("noncutoff_s")
-        if s is not None:
-            s = float(s)
-            kwargs["noncutoff_s"] = s
-            kwargs["b"] = _make_b(sec.get("b", f"power:{-2.0 - 2.0 * s}"))
-        else:
-            kwargs["b"] = _make_b(sec.get("b", "constant"))
-    return KernelSpec(dim=dim, gamma=gamma, operator=operator, **kwargs)
+    b = _make_b(sec.get("b", "constant")) if operator == "boltzmann" else None
+    return KernelSpec(dim=int(sec.get("dim", 3)), gamma=float(sec.get("gamma", 0.0)),
+                      operator=operator, b=b)
 
 
 def _quadrature_from(cp):
-    if "quadrature" not in cp:
-        return QuadratureScheme()
-    sec = cp["quadrature"]
-    kwargs = {}
-    for key in ("outer_radius", "polar_radius", "regularization_radius", "rel_tol"):
-        if key in sec:
-            kwargs[key] = float(sec[key])
-    for key in ("radial_nodes", "angular_nodes", "hyperplane_nodes"):
-        if key in sec:
-            kwargs[key] = int(sec[key])
-    return QuadratureScheme(**kwargs)
+    sec = cp["quadrature"] if "quadrature" in cp else {}
+    return QuadratureScheme(**{key: _QUADRATURE_TYPES[key](sec[key]) for key in sec})
 
 
 def _field_from(spec, dim):
@@ -140,93 +119,109 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def run_command(cp, out_dir, seed):
+def _point_eval(cp, sec, q, out_dir):
+    cmd = cp["run"]["command"]
+    evaluate = q_landau
+    if cmd == "boltzmann-eval":
+        rep = sec.get("representation", "carleman")
+        if rep not in _REPRESENTATIONS:
+            raise ConfigError(f"unknown representation {rep!r} (use sigma or carleman)")
+        evaluate = _REPRESENTATIONS[rep]
+    k = _kernel_from(cp)
+    f = _field_from(sec.get("field", "maxwellian"), k.dim)
+    point = np.array([float(x) for x in sec.get("point", "0 0 0").split()])
+    _write_json(out_dir / "result.json",
+                {"command": cmd, "point": point.tolist(), "value": evaluate(f, point, k, q)})
+    return 0
+
+
+def _barrier_check(cp, sec, q, out_dir):
+    m = float(sec.get("m", 5.0))
+    alpha = float(sec.get("alpha", 1.0))
+    barrier = make_barrier(m, alpha)
+    r = np.linspace(1e-3, 4.0, 2001)
+    prof = barrier._b1_radial(r)
+    _write_json(out_dir / "result.json", {
+        "command": "barrier-check", "m": m, "alpha": alpha,
+        "monotone": bool(np.all(np.diff(prof) <= 1e-12 * prof[0])),
+        "dominated": bool(np.all(alpha * prof <= alpha * r ** (-m) * (1 + 1e-12))),
+        "value_at_2": float(barrier.value(np.array([2.0, 0.0, 0.0]))),
+    })
+    return 0
+
+
+def _delta_search(cp, sec, q, out_dir):
+    target = sec.get("target", "landau")
+    try:
+        if target == "landau":
+            report = verify.landau_delta_search(
+                m=float(sec.get("m", 5.0)), d=int(sec.get("d", 3)),
+                gamma=float(sec.get("gamma", -3.0)),
+            )
+        elif target == "boltzmann":
+            report = verify.boltzmann_delta_search(float(sec.get("m", 8.0)),
+                                                  _kernel_from(cp), q)
+        else:
+            raise ConfigError(f"unknown delta-search target {target!r}")
+    except InfeasibleError as exc:
+        _write_json(out_dir / "result.json",
+                    {"command": "delta-search", "infeasible": True, "reason": str(exc)})
+        return 2
+    (out_dir / "result.json").write_text(report.to_json() + "\n")
+    return 0
+
+
+def _m0_search(cp, sec, q, out_dir):
+    report = verify.boltzmann_m0_search(_kernel_from(cp), q)
+    (out_dir / "result.json").write_text(report.to_json() + "\n")
+    return 0 if report.feasible else 2
+
+
+def _homog_run(cp, sec, q, out_dir):
+    k = _kernel_from(cp)
+    f0 = solver.make_gaussian_grid(
+        n=int(sec.get("n", 32)), V=float(sec.get("box_radius", 6.0)),
+        rho=float(sec.get("rho", 1.0)), theta=float(sec.get("theta", 0.5)),
+    )
+    log = solver.homog_run(f0, k, q, t_end=float(sec.get("t_end", 0.1)),
+                           cfl=float(sec.get("cfl", 0.5)),
+                           m=float(sec.get("m", 5.0)))
+    log.write_csv(out_dir / "runlog.csv")
+    _write_json(out_dir / "result.json",
+                {"command": "homog-run", "steps": len(log.t) - 1,
+                 "final_time": log.t[-1]})
+    return 0
+
+
+def _hydro_verdict(cp, sec, q, out_dir):
+    gamma = float(sec.get("gamma", 1.0))
+    rows = [hydro.scenario_verdict(sc, gamma) for sc in hydro.load_catalog()]
+    lines = ["scenario,gamma,verdict,critical_gamma"]
+    for r in rows:
+        lines.append(f"{r['scenario']},{r['gamma']:.7g},{r['verdict']},"
+                     f"{r['critical_gamma']:.7f}")
+    (out_dir / "verdicts.csv").write_text("\n".join(lines) + "\n")
+    return 0
+
+
+# command name -> (handler, keys of the command's own section)
+COMMANDS = {
+    "landau-eval": (_point_eval, {"field", "point"}),
+    "boltzmann-eval": (_point_eval, {"field", "point", "representation"}),
+    "barrier-check": (_barrier_check, {"m", "alpha"}),
+    "delta-search": (_delta_search, {"target", "m", "d", "gamma"}),
+    "m0-search": (_m0_search, set()),
+    "homog-run": (_homog_run, {"n", "box_radius", "t_end", "cfl", "m", "rho", "theta"}),
+    "hydro-verdict": (_hydro_verdict, {"gamma"}),
+}
+
+
+def run_command(cp, out_dir):
     """Dispatch a parsed config; returns the process exit code."""
     cmd = cp["run"]["command"]
     out_dir.mkdir(parents=True, exist_ok=True)
-    q = _quadrature_from(cp)
-    status = 0
-
-    if cmd in ("landau-eval", "boltzmann-eval"):
-        k = _kernel_from(cp)
-        sec = cp[cmd] if cmd in cp else {}
-        f = _field_from(sec.get("field", "maxwellian"), k.dim)
-        point = np.array([float(x) for x in sec.get("point", "0 0 0").split()])
-        if cmd == "landau-eval":
-            value = q_landau(f, point, k, q)
-        else:
-            rep = sec.get("representation", "carleman")
-            fn = q_boltzmann_sigma if rep == "sigma" else q_boltzmann_carleman
-            value = fn(f, point, k, q)
-        _write_json(out_dir / "result.json",
-                    {"command": cmd, "point": point.tolist(), "value": value})
-
-    elif cmd == "barrier-check":
-        sec = cp[cmd] if cmd in cp else {}
-        m = float(sec.get("m", 5.0))
-        alpha = float(sec.get("alpha", 1.0))
-        barrier = make_barrier(m, alpha)
-        r = np.linspace(1e-3, 4.0, 2001)
-        prof = barrier._b1_radial(r)
-        _write_json(out_dir / "result.json", {
-            "command": cmd, "m": m, "alpha": alpha,
-            "monotone": bool(np.all(np.diff(prof) <= 1e-12 * prof[0])),
-            "dominated": bool(np.all(alpha * prof <= alpha * r ** (-m) * (1 + 1e-12))),
-            "value_at_2": float(barrier.value(np.array([2.0, 0.0, 0.0]))),
-        })
-
-    elif cmd == "delta-search":
-        sec = cp[cmd] if cmd in cp else {}
-        target = sec.get("target", "landau")
-        try:
-            if target == "landau":
-                report = verify.landau_delta_search(
-                    m=float(sec.get("m", 5.0)), d=int(sec.get("d", 3)),
-                    gamma=float(sec.get("gamma", -3.0)),
-                )
-            elif target == "boltzmann":
-                report = verify.boltzmann_delta_search(float(sec.get("m", 8.0)),
-                                                      _kernel_from(cp), q)
-            else:
-                raise ConfigError(f"unknown delta-search target {target!r}")
-        except InfeasibleError as exc:
-            _write_json(out_dir / "result.json",
-                        {"command": cmd, "infeasible": True, "reason": str(exc)})
-            return 2
-        (out_dir / "result.json").write_text(report.to_json() + "\n")
-
-    elif cmd == "m0-search":
-        report = verify.boltzmann_m0_search(_kernel_from(cp), q)
-        (out_dir / "result.json").write_text(report.to_json() + "\n")
-        if not report.feasible:
-            status = 2
-
-    elif cmd == "homog-run":
-        sec = cp[cmd] if cmd in cp else {}
-        k = _kernel_from(cp)
-        f0 = solver.make_gaussian_grid(
-            n=int(sec.get("n", 32)), V=float(sec.get("box_radius", 6.0)),
-            rho=float(sec.get("rho", 1.0)), theta=float(sec.get("theta", 0.5)),
-        )
-        log = solver.homog_run(f0, k, q, t_end=float(sec.get("t_end", 0.1)),
-                               cfl=float(sec.get("cfl", 0.5)),
-                               m=float(sec.get("m", 5.0)))
-        log.write_csv(out_dir / "runlog.csv")
-        _write_json(out_dir / "result.json",
-                    {"command": cmd, "steps": len(log.t) - 1,
-                     "final_time": log.t[-1]})
-
-    elif cmd == "hydro-verdict":
-        sec = cp[cmd] if cmd in cp else {}
-        gamma = float(sec.get("gamma", 1.0))
-        rows = [hydro.scenario_verdict(sc, gamma) for sc in hydro.load_catalog()]
-        lines = ["scenario,gamma,verdict,critical_gamma"]
-        for r in rows:
-            lines.append(f"{r['scenario']},{r['gamma']:.7g},{r['verdict']},"
-                         f"{r['critical_gamma']:.7f}")
-        (out_dir / "verdicts.csv").write_text("\n".join(lines) + "\n")
-
-    return status
+    handler, _ = COMMANDS[cmd]
+    return handler(cp, cp[cmd] if cmd in cp else {}, _quadrature_from(cp), out_dir)
 
 
 def main(argv=None):
@@ -234,23 +229,17 @@ def main(argv=None):
                                  description="collision-operator toolkit")
     ap.add_argument("--config", required=True, help="INI configuration file")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved; computations are single-process")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     args = ap.parse_args(argv)
 
     start = time.time()
     out_dir = Path(args.out)
     try:
         cp = _parse_config(args.config)
-        status = run_command(cp, out_dir, args.seed)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status = run_command(cp, out_dir)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except CollkitError as exc:
+    except (CollkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -261,7 +250,6 @@ def main(argv=None):
         ver = "unknown"
     manifest = {
         "config": echo,
-        "seed": args.seed,
         "version": ver,
         "wall_time_s": round(time.time() - start, 3),
     }

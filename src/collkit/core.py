@@ -12,13 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .exceptions import (
-    CapabilityError,
-    EvaluationError,
-    KernelRejectionError,
-    UnsupportedParameterError,
-)
-from .util import bracket, sphere_area, sphere_rule
+from .exceptions import EvaluationError, KernelRejectionError, UnsupportedParameterError
+from .util import bracket, sphere_rule
 
 
 @dataclass(frozen=True)
@@ -154,26 +149,28 @@ class QuadratureScheme:
                 raise ValueError(f"{name} must be >= 2")
 
 
-def _angular_integrability_value(b, dim):
-    """integral of sin(theta/2)^2 b over the sphere; raises on divergence.
+def _grazing_probe(integrand, upper):
+    """(integral over [0, upper], local power p at 0) of a weight times b.
 
-    The grazing behaviour is probed first: if the integrand's local power at
-    theta -> 0 is <= -1 the integral diverges and no quadrature value is
-    meaningful.
+    The integrand must be nonnegative, like b.  p is measured at two probe
+    points before any quadrature, so that p <= -1 (divergence) is rejected
+    rather than returned as a large number; an integrand that vanishes at
+    both probe points has no grazing singularity (p = inf).
     """
-
-    def integrand(theta):
-        s = np.sin(theta / 2.0)
-        return np.sin(theta) ** (dim - 2) * s * s * b(s)
-
     t1, t2 = 1e-6, 1e-5
-    p = np.log(integrand(t2) / integrand(t1)) / np.log(t2 / t1)
+    y1, y2 = integrand(t1), integrand(t2)
+    sample = integrand(upper * np.linspace(0.0, 1.0, 65)[1:])
+    if min(y1, y2, np.min(sample)) < 0.0:
+        raise KernelRejectionError("angular cross-section b is negative somewhere")
+    p = np.inf if y1 == y2 == 0.0 else np.log(y2 / y1) / np.log(t2 / t1)
     if p <= -1.0 + 1e-6:
         raise KernelRejectionError(
-            f"angular integrability fails: integrand ~ theta^{p:.3f} near grazing"
+            f"angular integrability fails: integrand ~ t^{p:.3f} near grazing"
         )
-    val, _ = quad(integrand, 0.0, np.pi, limit=200, points=[1e-4, 1e-2])
-    return sphere_area(dim - 1) * val
+    val, _ = quad(integrand, 0.0, upper, limit=200, points=[1e-4, 1e-2])
+    if not np.isfinite(val):
+        raise KernelRejectionError("angular integrability integral is not finite")
+    return val, p
 
 
 @dataclass(frozen=True)
@@ -181,17 +178,22 @@ class KernelSpec:
     """Collision kernel parameters for either operator.
 
     For Boltzmann, ``b`` is the angular cross-section as a function of
-    sin(theta/2), vectorized over arrays.  ``cb`` is the prefactor of the
-    nonsingular Carleman term; it is computed on construction from the
-    cancellation integral (see :func:`collkit.boltzmann.cb_constant`).
+    sin(theta/2), vectorized over arrays.  Nothing else about b is declared:
+    on construction its grazing behaviour is measured (:func:`_grazing_probe`
+    on the angular integrability integral of sin(theta/2)^2 b), and two
+    results are stored, not set.  ``is_cutoff`` says whether b itself is
+    integrable on the sphere (the probed integrand's power exceeds 1);
+    ``cb`` is the prefactor of the nonsingular Carleman term, computed from
+    the cancellation integral (see :func:`collkit.boltzmann.cb_constant`).
+    Cross-sections whose integrability integral diverges are rejected.
     """
 
     dim: int
     gamma: float
     operator: str  # "landau" | "boltzmann"
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    noncutoff_s: Optional[float] = None
-    cb: float = field(default=None, compare=False)
+    is_cutoff: Optional[bool] = field(default=None, init=False, compare=False)
+    cb: Optional[float] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.operator not in ("landau", "boltzmann"):
@@ -214,24 +216,18 @@ class KernelSpec:
                 raise ValueError(f"Boltzmann requires gamma >= -dim, got {self.gamma}")
             if self.b is None:
                 raise ValueError("Boltzmann kernel needs an angular cross-section b")
-            if self.noncutoff_s is not None and not 0.0 < self.noncutoff_s < 1.0:
-                raise KernelRejectionError(
-                    f"grazing exponent s must lie in (0, 1), got {self.noncutoff_s}"
-                )
-            self._check_angular_integrability()
-            if self.cb is None:
-                from .boltzmann import cb_constant
 
-                object.__setattr__(self, "cb", cb_constant(self))
+            def integrand(theta):
+                s = np.sin(theta / 2.0)
+                return np.sin(theta) ** (self.dim - 2) * s * s * self.b(s)
 
-    def _check_angular_integrability(self):
-        val = _angular_integrability_value(self.b, self.dim)
-        if not np.isfinite(val):
-            raise KernelRejectionError("angular integrability integral is not finite")
+            # b alone weighs theta^(dim-2) b = integrand / s^2 on the sphere, so
+            # b itself is integrable (a cutoff kernel) iff p > 1
+            _, p = _grazing_probe(integrand, np.pi)
+            object.__setattr__(self, "is_cutoff", bool(p > 1.0 + 1e-6))
+            from .boltzmann import cb_constant
 
-    @property
-    def is_cutoff(self):
-        return self.noncutoff_s is None
+            object.__setattr__(self, "cb", cb_constant(self))
 
     def b_folded(self, x):
         """Cross-section folded onto deviation angles <= pi/2.
@@ -241,7 +237,7 @@ class KernelSpec:
         makes the singular/nonsingular split finite term by term.
         """
         x = np.asarray(x, dtype=float)
-        return self.b(x) + self.b(np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0)))
+        return self.b(x) + self.b(np.sqrt(np.maximum(1.0 - x * x, 0.0)))
 
 
 # ---------------------------------------------------------------------------

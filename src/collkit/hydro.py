@@ -11,12 +11,11 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import QuadratureScheme, VelocityField
 from .exceptions import ColdGasError
 from .fields import gaussian_field
 from .util import gauss_panel

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CapabilityError, UnsupportedParameterError
+from .exceptions import UnsupportedParameterError
 from .util import geometric_panels, graded_panels, sphere_area, sphere_rule
 
 
@@ -108,8 +108,5 @@ def landau_coefficients(f, v, k, q):
 def q_landau(f, v, k, q):
     """Landau operator value a_bar : D^2 f + c_bar f at the point v."""
     coeffs = landau_coefficients(f, v, k, q)
-    try:
-        hess = f.hessian(v, rel_tol=q.rel_tol)
-    except TypeError as exc:
-        raise CapabilityError("field does not supply second derivatives") from exc
+    hess = f.hessian(v, rel_tol=q.rel_tol)
     return float(np.sum(coeffs.a_bar * hess) + coeffs.c_bar * f(np.asarray(v, float)))

@@ -35,6 +35,14 @@ def gauss_panel(a, b, n):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
+def _composite_gauss(edges, n_per_panel):
+    """Flat nodes/weights of an ``n_per_panel``-point Gauss rule on each panel."""
+    gx, gw = np.polynomial.legendre.leggauss(n_per_panel)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    return (half * (gx + 1.0) + lo).ravel(), (half * gw).ravel()
+
+
 def graded_panels(a, b, n_panels, n_per_panel, ratio=3.0):
     """Composite Gauss rule on [a, b] with power-graded panels toward ``a``.
 
@@ -46,12 +54,7 @@ def graded_panels(a, b, n_panels, n_per_panel, ratio=3.0):
         raise ValueError(f"bad panel interval [{a}, {b}]")
     k = np.arange(n_panels + 1, dtype=float)
     edges = a + (b - a) * (k / n_panels) ** ratio
-    xs, ws = [], []
-    gx, gw = np.polynomial.legendre.leggauss(n_per_panel)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (hi - lo) * (gx + 1.0) + lo)
-        ws.append(0.5 * (hi - lo) * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _composite_gauss(edges, n_per_panel)
 
 
 def geometric_panels(a, b, n_panels, n_per_panel):
@@ -62,12 +65,7 @@ def geometric_panels(a, b, n_panels, n_per_panel):
     if not (b > a > 0.0):
         raise ValueError(f"geometric panels need 0 < a < b, got [{a}, {b}]")
     edges = np.geomspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    gx, gw = np.polynomial.legendre.leggauss(n_per_panel)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (hi - lo) * (gx + 1.0) + lo)
-        ws.append(0.5 * (hi - lo) * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _composite_gauss(edges, n_per_panel)
 
 
 def sphere_rule(dim, n_polar, n_azim):

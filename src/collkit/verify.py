@@ -17,7 +17,7 @@ Contents:
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -246,6 +246,8 @@ def boltzmann_m0_search(k, q, ceiling=200.0, rel_tol=1e-4):
     occurs below the ceiling, an infeasible report is returned rather than a
     fake threshold.
     """
+    if k.operator != "boltzmann":
+        raise ValueError("boltzmann_m0_search requires a Boltzmann kernel")
     w0 = np.zeros(k.dim)
 
     def val(m):

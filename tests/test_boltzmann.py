@@ -90,7 +90,7 @@ def test_kernel_integrability_constant_b():
 def test_kernel_integrability_divergent():
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0, noncutoff_s=0.5,
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
     # s = 1/2 is fine for this reduced integral
     assert np.isfinite(kernel_integrability_check(k))
@@ -167,7 +167,7 @@ def test_representation_agreement_single(q_fast):
 def test_sigma_rejects_noncutoff(q_fast, maxwellian):
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0, noncutoff_s=0.5,
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
     with pytest.raises(CapabilityError):
         q_boltzmann_sigma(maxwellian, np.zeros(3), k, q_fast)
@@ -183,7 +183,7 @@ def test_carleman_requires_3d(q_fast):
 def test_noncutoff_needs_exact_gradient(q_fast, maxwellian):
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0, noncutoff_s=0.5,
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
     no_grad = VelocityField(
         dim=3, eval=maxwellian.eval,
@@ -198,7 +198,7 @@ def test_noncutoff_taylor_zone_insensitivity(maxwellian):
     # scheme's tolerance budget
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0, noncutoff_s=0.5,
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
     v = np.array([0.7, 0.0, 0.0])
     vals = []

@@ -37,7 +37,7 @@ def test_m0_search_command(tmp_path):
     assert abs(doc["value"] - 5.0) < 1e-2
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["run"]["command"] == "m0-search"
-    assert "version" in manifest and "wall_time_s" in manifest
+    assert sorted(manifest) == ["config", "version", "wall_time_s"]
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -114,11 +114,34 @@ def test_empty_config_rejected(tmp_path):
     assert code == 1
 
 
-def test_unknown_key_rejected(tmp_path):
-    code, _ = run_cli(
-        tmp_path, "[run]\ncommand = m0-search\nspeed = fast\n"
-    )
-    assert code == 1
+def test_unknown_key_rejected(tmp_path, capsys):
+    bad_configs = [
+        "[run]\ncommand = m0-search\nspeed = fast\n",
+        "[run]\ncommand = m0-search\nseed = 3\n",
+        "[run]\ncommand = m0-search\n\n[kernel]\noperator = boltzmann\nnoncutoff_s = 0.5\n",
+        # a section that belongs to another command
+        "[run]\ncommand = m0-search\n\n[homog-run]\nn = 12\n",
+        # values that cannot be read
+        "[run]\ncommand = landau-eval\n\n[kernel]\ngamma = abc\n",
+        "[run]\ncommand = landau-eval\n\n[quadrature]\nradial_nodes = 12.0\n",
+        # a kernel the command cannot use (the default kernel is Landau)
+        "[run]\ncommand = landau-eval\n\n[kernel]\noperator = boltzmann\n",
+        "[run]\ncommand = m0-search\n",
+        # an unknown representation
+        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\n\n"
+        "[boltzmann-eval]\nrepresentation = direct\n",
+        # b alone makes this kernel non-cutoff, which the sigma route refuses
+        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\nb = power:-3\n\n"
+        "[boltzmann-eval]\nrepresentation = sigma\n",
+    ]
+    for i, text in enumerate(bad_configs):
+        code, out_dir = run_cli(tmp_path, text, out=f"out{i}")
+        assert code == 1, text
+        assert capsys.readouterr().err.startswith("error: "), text
+        assert not (out_dir / "result.json").exists(), text
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit):
+            main(["--config", str(tmp_path / "cfg.ini"), flag, "1"])
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from collkit import (
 )
 from collkit.fields import gaussian_field
 
-from conftest import b_ones
+from conftest import b_cos2, b_ones
 
 
 def flat_field(value=0.0, dim=3):
@@ -194,8 +196,10 @@ def test_boltzmann_kernel_validation():
         KernelSpec(dim=3, gamma=0.0, operator="boltzmann")  # missing b
     with pytest.raises(ValueError):
         KernelSpec(dim=3, gamma=-3.5, operator="boltzmann", b=b_ones)
-    with pytest.raises(KernelRejectionError):
-        KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones, noncutoff_s=1.5)
+    for negative_b in (lambda x: -np.ones_like(np.asarray(x, dtype=float)),
+                       lambda x: np.asarray(x, dtype=float) - 0.5):
+        with pytest.raises(KernelRejectionError):
+            KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=negative_b)
 
 
 def test_boltzmann_angular_integrability_rejection():
@@ -206,7 +210,6 @@ def test_boltzmann_angular_integrability_rejection():
             gamma=0.0,
             operator="boltzmann",
             b=lambda x: np.asarray(x, dtype=float) ** -4.0,
-            noncutoff_s=0.99,
         )
 
 
@@ -216,10 +219,27 @@ def test_noncutoff_half_accepted():
         gamma=0.0,
         operator="boltzmann",
         b=lambda x: np.asarray(x, dtype=float) ** -3.0,
-        noncutoff_s=0.5,
     )
     assert not k.is_cutoff
     assert np.isfinite(k.cb)
+
+
+@pytest.mark.parametrize("b, cutoff", [
+    (b_ones, True),
+    (b_cos2, True),
+    (lambda x: np.asarray(x, dtype=float) ** -1.9, True),
+    (lambda x: np.asarray(x, dtype=float) ** -2.0, False),
+    (lambda x: np.asarray(x, dtype=float) ** -3.0, False),
+    # zero at both grazing probe points: no singularity to measure
+    (lambda x: np.clip(np.asarray(x, dtype=float) - 0.1, 0.0, None) ** 2, True),
+])
+def test_is_cutoff_derived_from_b(b, cutoff):
+    # cutoff means b itself is integrable on S^2: b ~ x^p with p > -2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+    assert k.is_cutoff is cutoff
+    assert np.isfinite(k.cb) and k.cb > 0.0
 
 
 def test_b_folded_convention(kernel_boltzmann_g0):

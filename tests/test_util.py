@@ -62,6 +62,21 @@ def test_geometric_panels_log_integrand():
     assert np.dot(w, 1.0 / x) == pytest.approx(4.0, rel=1e-8)
 
 
+def test_panel_rules_equal_per_panel_gauss():
+    # the vectorized composite rule does the per-panel arithmetic of
+    # gauss_panel, so the two agree bit for bit
+    cases = [
+        (graded_panels(0.0, 1.0, 12, 4, ratio=2.0),
+         (np.arange(13) / 12.0) ** 2.0),
+        (geometric_panels(1.0, 9.0, 7, 5), np.geomspace(1.0, 9.0, 8)),
+    ]
+    for (x, w), edges in cases:
+        n = len(x) // (len(edges) - 1)
+        rules = [gauss_panel(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(x, np.concatenate([r[0] for r in rules]))
+        assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
+
+
 def test_panel_interval_validation():
     with pytest.raises(ValueError):
         graded_panels(1.0, 1.0, 4, 4)

@@ -23,7 +23,9 @@ output directory.  Identical config produces byte-identical result
 artifacts; the manifest carries the only non-deterministic field (wall
 time).
 
-Exit codes: 0 success, 2 infeasible search result, 1 any other error.
+Exit codes: 0 success, 2 infeasible search result, 1 any other error.  A
+``homog-run`` that aborts still writes its partial ``runlog.csv`` and a
+``result.json`` with ``"aborted": true`` and the reason before exiting 1.
 """
 
 import argparse
@@ -40,7 +42,7 @@ import numpy as np
 from . import fields, hydro, solver, verify
 from .boltzmann import q_boltzmann_carleman, q_boltzmann_sigma
 from .core import KernelSpec, QuadratureScheme, make_barrier
-from .exceptions import CollkitError, InfeasibleError
+from .exceptions import CollkitError, InfeasibleError, RunAbortedError
 from .landau import q_landau
 
 _QUADRATURE_TYPES = {f.name: f.type for f in dataclasses.fields(QuadratureScheme)}
@@ -183,9 +185,19 @@ def _homog_run(cp, sec, q, out_dir):
         n=int(sec.get("n", 32)), V=float(sec.get("box_radius", 6.0)),
         rho=float(sec.get("rho", 1.0)), theta=float(sec.get("theta", 0.5)),
     )
-    log = solver.homog_run(f0, k, q, t_end=float(sec.get("t_end", 0.1)),
-                           cfl=float(sec.get("cfl", 0.5)),
-                           m=float(sec.get("m", 5.0)))
+    try:
+        log = solver.homog_run(f0, k, q, t_end=float(sec.get("t_end", 0.1)),
+                               cfl=float(sec.get("cfl", 0.5)),
+                               m=float(sec.get("m", 5.0)))
+    except RunAbortedError as exc:
+        # leave the partial log and the reason on disk; main reports the error
+        result = {"command": "homog-run", "aborted": True, "reason": str(exc),
+                  "steps": None, "final_time": None}
+        if exc.log is not None:
+            exc.log.write_csv(out_dir / "runlog.csv")
+            result.update(steps=len(exc.log.t) - 1, final_time=exc.log.t[-1])
+        _write_json(out_dir / "result.json", result)
+        raise
     log.write_csv(out_dir / "runlog.csv")
     _write_json(out_dir / "result.json",
                 {"command": "homog-run", "steps": len(log.t) - 1,

@@ -7,8 +7,10 @@ kinetic blowup, and per-scenario verdicts for the shipped implosion catalog.
 All in d = 3 with Boltzmann constant 1 and monatomic internal energy 3*theta/2.
 """
 
+import ast
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Tuple
@@ -88,11 +90,31 @@ class ImplosionScenario:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
 
 
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
 def _eval_lambda(expr):
-    expr = expr.strip()
-    return float(
-        eval(expr, {"__builtins__": {}}, {"sqrt": math.sqrt})  # catalog is trusted data
-    )
+    """Value of a catalog lambda: number literals, unary -, + - * /,
+    parentheses and sqrt(...).  Anything else raises ValueError."""
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords):
+            return math.sqrt(walk(node.args[0]))
+        raise ValueError(f"unsupported term in catalog expression {expr!r}")
+
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+    except SyntaxError:
+        raise ValueError(f"cannot parse catalog expression {expr!r}") from None
+    return float(walk(tree.body))
 
 
 def load_catalog():

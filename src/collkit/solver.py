@@ -2,11 +2,17 @@
 
 The field lives on a uniform tensor grid on [-V, V]^3; the equation is
 advanced in non-divergence form d_t f = a_bar_ij d_ij f + c_bar f with the
-convolution coefficients evaluated spectrally (FFT convolution with the
-singular kernel cell-averaged at the origin) and second derivatives by
-central differences.  Time stepping is explicit midpoint with the parabolic
-step restriction Delta t = cfl * h^2 / (2 d max||a_bar||) refreshed every
-step.
+convolution coefficients evaluated spectrally and second derivatives by
+central differences.  The FFT convolution is circular with the smallest
+length free of wraparound, L = next_fast_len(2n - 1) per axis: the singular
+kernels are sampled on the wrapped offset grid (origin at index 0,
+cell-averaged there) and the kept output is the first n entries per axis.
+The kernels are even in z, so only the real part of each kernel transform
+is stored; it is the transform of the kernel's even part, which equals the
+kernel at every offset within +-(n-1) h that the kept output reads.
+
+Time stepping is explicit midpoint with the parabolic step restriction
+Delta t = cfl * h^2 / (2 d max||a_bar||) refreshed every step.
 
 The run log records weighted sup norms and the conserved moments each step;
 these logs feed the Gronwall-bound and Riccati-envelope checks.
@@ -126,22 +132,19 @@ class RunLog:
 # Coefficients on the grid
 
 
-def _offset_grid(n, h):
-    k = np.arange(-(n - 1), n) * h
-    return np.meshgrid(k, k, k, indexing="ij")
-
-
-def _kernel_arrays(n, h, gamma):
+def _kernel_arrays(L, h, gamma):
     """Cell-averaged convolution kernels for a_bar (6 components) and c_bar.
 
-    K_ij(z) = |z|^{2+gamma} (delta_ij - z_i z_j / |z|^2).  At z = 0 the
-    angular average of the projection is (d-1)/d * Id and the radial factor
-    is averaged over the equal-volume ball of radius a = h (3/(4 pi))^{1/3}.
+    K_ij(z) = |z|^{2+gamma} (delta_ij - z_i z_j / |z|^2), sampled on the
+    wrapped offset grid z = h * L * fftfreq(L) per axis (offset 0 at index 0,
+    negative offsets in the upper half).  At z = 0 the angular average of the
+    projection is (d-1)/d * Id and the radial factor is averaged over the
+    equal-volume ball of radius a = h (3/(4 pi))^{1/3}.
     """
-    X, Y, Z = _offset_grid(n, h)
+    k = ((np.arange(L) + L // 2) % L - L // 2) * h  # integer offsets times h
+    X, Y, Z = np.meshgrid(k, k, k, indexing="ij")
     r2 = X * X + Y * Y + Z * Z
-    center = n - 1
-    r2[center, center, center] = 1.0  # placeholder, overwritten below
+    r2[0, 0, 0] = 1.0  # placeholder at the origin, overwritten below
     r = np.sqrt(r2)
     rad = r ** (2.0 + gamma)
     a_eq = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
@@ -151,13 +154,12 @@ def _kernel_arrays(n, h, gamma):
     for (i, j, zi, zj) in (("x", "x", X, X), ("y", "y", Y, Y), ("z", "z", Z, Z),
                            ("x", "y", X, Y), ("x", "z", X, Z), ("y", "z", Y, Z)):
         K = rad * ((1.0 if i == j else 0.0) - zi * zj / r2)
-        K[center, center, center] = rad0 * (2.0 / 3.0 if i == j else 0.0)
+        K[0, 0, 0] = rad0 * (2.0 / 3.0 if i == j else 0.0)
         comps[i + j] = K
 
     if gamma > -3.0:
         radc = r**gamma
-        radc_0 = 3.0 * a_eq**gamma / (3.0 + gamma)
-        radc[center, center, center] = radc_0
+        radc[0, 0, 0] = 3.0 * a_eq**gamma / (3.0 + gamma)
     else:
         radc = None
     return comps, radc
@@ -166,29 +168,45 @@ def _kernel_arrays(n, h, gamma):
 class _CoefficientEngine:
     """FFT convolutions of the grid field with the Landau kernels.
 
+    The convolution is circular with length L = next_fast_len(2n - 1) per
+    axis.  Output i reads the kernel at offsets (i - j) h with i, j in
+    [0, n), that is within +-(n-1) h, and a circular length of at least
+    2n - 1 keeps those offsets from wrapping onto each other.  So the field
+    is zero-padded to L^3, the kernels are sampled on the wrapped offset
+    grid (origin at index 0), and the kept output is [0:n]^3.
+
+    Only the real part of each kernel transform is stored.  The real part
+    is the transform of the even part (K(p) + K(-p mod L)) / 2.  K is even
+    in z, so the even part equals K at every offset within +-(n-1) h, the
+    only offsets a kept output reads; this holds for odd and even L, and
+    keeping the real part is exact up to roundoff.
+
     Kernel transforms are computed once; each coefficient refresh costs one
-    forward transform of the field plus one inverse transform per component.
+    forward transform of the field plus one inverse transform per component,
+    pruned to the rows the kept output needs.
     """
 
     def __init__(self, n, h, gamma):
         from scipy.fft import next_fast_len
 
         self.n, self.h, self.gamma = n, h, gamma
-        kernels, c_kernel = _kernel_arrays(n, h, gamma)
-        full = 3 * n - 2  # linear convolution length of n with 2n-1
-        self.size = next_fast_len(full)
+        self.size = next_fast_len(2 * n - 1)
         self.shape = (self.size,) * 3
-        lo = n - 1        # center slice of the 'same'-mode output
-        self.sl = (slice(lo, lo + n),) * 3
         self.axes = (0, 1, 2)
-        self.kernel_hats = {key: np.fft.rfftn(K, self.shape, axes=self.axes)
-                            for key, K in kernels.items()}
-        self.c_hat = (np.fft.rfftn(c_kernel, self.shape, axes=self.axes)
-                      if c_kernel is not None else None)
+        kernels, c_kernel = _kernel_arrays(self.size, h, gamma)
+        self.kernel_hats = {key: self._real_hat(K) for key, K in kernels.items()}
+        self.c_hat = self._real_hat(c_kernel) if c_kernel is not None else None
+
+    def _real_hat(self, kernel):
+        return np.fft.rfftn(kernel, axes=self.axes).real.copy()
 
     def _conv(self, val_hat, kern_hat):
-        out = np.fft.irfftn(val_hat * kern_hat, self.shape, axes=self.axes)
-        return out[self.sl] * self.h**3
+        # irfftn one axis at a time, dropping the rows no kept output needs
+        # before the next axis: the same 1-D transforms as irfftn(...)[:n]^3
+        n, L = self.n, self.size
+        out = np.fft.ifft(val_hat * kern_hat, axis=0)[:n]
+        out = np.fft.ifft(out, axis=1)[:, :n]
+        return np.fft.irfft(out, L, axis=2)[:, :, :n] * self.h**3
 
     def coefficients(self, values):
         val_hat = np.fft.rfftn(values, self.shape, axes=self.axes)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from collkit import RunAbortedError, solver
 from collkit.cli import main
 
 
@@ -107,6 +108,36 @@ def test_homog_run_command(tmp_path):
     lines = (out_dir / "runlog.csv").read_text().splitlines()
     assert lines[0] == "t,norm_m,norm_dpg,mass,px,py,pz,energy,negmax"
     assert len(lines) == doc["steps"] + 2
+
+
+def test_homog_run_abort_leaves_log(tmp_path, capsys, monkeypatch):
+    def aborting_run(f0, k, q, t_end, cfl, m):
+        log = solver.RunLog(m=m, gamma=k.gamma)
+        log.append(0.0, 1.0, 1.0, 1.0, (0.0, 0.0, 0.0), 1.5, 0.0)
+        log.append(0.25, 1.1, 1.0, 1.0, (0.0, 0.0, 0.0), 1.5, 2e-13)
+        raise RunAbortedError("negativity 2.000e-13 exceeds limit", log=log)
+
+    monkeypatch.setattr(solver, "homog_run", aborting_run)
+    code, out_dir = run_cli(tmp_path, "[run]\ncommand = homog-run\n\n[homog-run]\nn = 12\n")
+    assert code == 1
+    assert capsys.readouterr().err == "error: negativity 2.000e-13 exceeds limit\n"
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert doc == {"command": "homog-run", "aborted": True,
+                   "reason": "negativity 2.000e-13 exceeds limit",
+                   "steps": 1, "final_time": 0.25}
+    lines = (out_dir / "runlog.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("0.25,1.1,")
+
+    def aborting_without_log(f0, k, q, t_end, cfl, m):
+        raise RunAbortedError("time step underflow")
+
+    monkeypatch.setattr(solver, "homog_run", aborting_without_log)
+    code, out_dir = run_cli(tmp_path, "[run]\ncommand = homog-run\n\n[homog-run]\nn = 12\n",
+                            out="out_nolog")
+    assert code == 1
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert doc["aborted"] and doc["steps"] is None and doc["final_time"] is None
+    assert not (out_dir / "runlog.csv").exists()
 
 
 def test_empty_config_rejected(tmp_path):

@@ -21,6 +21,7 @@ from collkit import (
 from collkit.hydro import (
     LAMBDA_ENVELOPE,
     LAMBDA_ENVELOPE_COMPENSATED,
+    _eval_lambda,
     admissible_lambda_envelope,
     critical_gamma,
     specific_entropy,
@@ -122,6 +123,25 @@ def test_catalog_contents():
     assert cat["smooth-implosion"].lambda_max == pytest.approx(3.0 - SQRT3, abs=1e-14)
     assert cat["guderley-spherical"].lambda_sup_attained
     assert cat["collapsing-cavity-cylindrical"].symmetry == "cylindrical"
+
+
+def test_catalog_lambdas_parsed_without_eval():
+    # the values the catalog's expressions evaluate to as Python arithmetic
+    expected = {
+        "smooth-implosion": (1.0, 3 - math.sqrt(3)),
+        "finite-regularity": (1.0, 3 - math.sqrt(3)),
+        "collapsing-cavity-spherical": (1.0, 3 - math.sqrt(3)),
+        "collapsing-cavity-cylindrical": (1.0, (15 - 5 * math.sqrt(2)) / 7),
+        "guderley-spherical": (1.45, 1.45),
+        "guderley-cylindrical": (1.226, 1.226),
+    }
+    got = {sc.name: (sc.lambda_min, sc.lambda_max) for sc in load_catalog()}
+    assert got == expected  # bit-identical
+    assert _eval_lambda(" -(2 + 4) / 3 * sqrt(4) ") == -4.0
+    for bad in ("__import__('os')", "2**10", "sqrt", "sqrt(4, 2)", "abs(-1)",
+                "True", "'1.0'", "1 +", "x"):
+        with pytest.raises(ValueError):
+            _eval_lambda(bad)
 
 
 def test_scenario_verdicts():

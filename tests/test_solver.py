@@ -13,7 +13,7 @@ from collkit import (
     homog_run,
     riccati_check,
 )
-from collkit.solver import make_gaussian_grid
+from collkit.solver import _CoefficientEngine, make_gaussian_grid
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +209,58 @@ def test_homog_run_zero_field_is_stationary(q_fast, k_coulomb):
     gf = GridField(n=8, V=4.0, values=np.zeros((8, 8, 8)))
     log = homog_run(gf, k_coulomb, q_fast, t_end=0.01, cfl=0.1)
     assert log.norm_m == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# Coefficient engine against a direct sum
+
+
+def direct_coefficients(values, h, gamma):
+    """a_bar and c_bar by the O(n^6) sum over all pairs of grid points.
+
+    K_ij(z) = |z|^{2+gamma} (delta_ij - z_i z_j / |z|^2) and |z|^gamma from
+    the closed form; at z = 0 the angular average of the projection is 2/3 Id
+    and |z|^p is replaced by its average 3 a^p / (3 + p) over the ball of
+    volume h^3.
+    """
+    n = values.shape[0]
+    idx = np.arange(n) * h
+    pts = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
+    z = pts[:, None, :] - pts[None, :, :]            # (output, source, 3)
+    r2 = np.sum(z * z, axis=-1)
+    origin = r2 == 0.0
+    r2_safe = np.where(origin, 1.0, r2)
+    a_ball = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+
+    def radial(p):
+        return np.where(origin, 3.0 * a_ball**p / (3.0 + p), r2_safe ** (p / 2.0))
+
+    f = values.reshape(-1)
+    a = {}
+    for key, (i, j) in {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
+                        "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
+        delta = 1.0 if i == j else 0.0
+        proj = np.where(origin, 2.0 / 3.0 * delta, delta - z[..., i] * z[..., j] / r2_safe)
+        a[key] = (h**3 * (radial(2.0 + gamma) * proj) @ f).reshape(values.shape)
+    if gamma == -3.0:
+        c = 8.0 * np.pi * values
+    else:
+        c = (2.0 * (3.0 + gamma) * h**3 * radial(gamma) @ f).reshape(values.shape)
+    return a, c
+
+
+@pytest.mark.parametrize("n, fft_len", [(6, 11), (7, 14)])
+@pytest.mark.parametrize("gamma", [-3.0, -2.0, 0.0])
+def test_coefficient_engine_matches_direct_sum(n, fft_len, gamma):
+    # n = 6 gives the odd circular length 2n - 1 itself, n = 7 an even
+    # length padded past 2n - 1
+    values = np.random.default_rng(1000 * n + int(-gamma)).random((n, n, n))
+    h = 0.7
+    engine = _CoefficientEngine(n, h, gamma)
+    assert engine.size == fft_len
+    a, c = engine.coefficients(values)
+    a_ref, c_ref = direct_coefficients(values, h, gamma)
+    for key in ("xx", "yy", "zz", "xy", "xz", "yz"):
+        err = np.max(np.abs(a[key] - a_ref[key])) / np.max(np.abs(a_ref[key]))
+        assert err <= 1e-12, key
+    assert np.max(np.abs(c - c_ref)) / np.max(np.abs(c_ref)) <= 1e-12

@@ -16,7 +16,10 @@ One command per process, configured by an INI file::
 
 Besides ``[run]``, ``[kernel]`` and ``[quadrature]``, only the chosen
 command's own section is accepted; unknown sections or keys are rejected.
-The cross-section ``b`` alone decides whether a Boltzmann kernel is cutoff.
+``[kernel] operator`` defaults to the command's own operator: ``boltzmann``
+for ``boltzmann-eval``, ``m0-search`` and a Boltzmann ``delta-search``,
+``landau`` otherwise.  The cross-section ``b`` alone decides whether a
+Boltzmann kernel is cutoff.
 Every invocation writes its result artifacts (JSON/CSV) plus a
 ``manifest.json`` (echoed config, package version, wall time) into the
 output directory.  Identical config produces byte-identical result
@@ -96,9 +99,10 @@ def _make_b(name):
     raise ConfigError(f"unknown cross-section {name!r} (use constant, cos2, power:<p>)")
 
 
-def _kernel_from(cp):
+def _kernel_from(cp, operator="landau"):
+    """The [kernel] section; ``operator`` is the default of the command using it."""
     sec = cp["kernel"] if "kernel" in cp else {}
-    operator = sec.get("operator", "landau")
+    operator = sec.get("operator", operator)
     b = _make_b(sec.get("b", "constant")) if operator == "boltzmann" else None
     return KernelSpec(dim=int(sec.get("dim", 3)), gamma=float(sec.get("gamma", 0.0)),
                       operator=operator, b=b)
@@ -123,13 +127,13 @@ def _write_json(path, payload):
 
 def _point_eval(cp, sec, q, out_dir):
     cmd = cp["run"]["command"]
-    evaluate = q_landau
+    evaluate, operator = q_landau, "landau"
     if cmd == "boltzmann-eval":
         rep = sec.get("representation", "carleman")
         if rep not in _REPRESENTATIONS:
             raise ConfigError(f"unknown representation {rep!r} (use sigma or carleman)")
-        evaluate = _REPRESENTATIONS[rep]
-    k = _kernel_from(cp)
+        evaluate, operator = _REPRESENTATIONS[rep], "boltzmann"
+    k = _kernel_from(cp, operator)
     f = _field_from(sec.get("field", "maxwellian"), k.dim)
     point = np.array([float(x) for x in sec.get("point", "0 0 0").split()])
     _write_json(out_dir / "result.json",
@@ -162,7 +166,7 @@ def _delta_search(cp, sec, q, out_dir):
             )
         elif target == "boltzmann":
             report = verify.boltzmann_delta_search(float(sec.get("m", 8.0)),
-                                                  _kernel_from(cp), q)
+                                                  _kernel_from(cp, "boltzmann"), q)
         else:
             raise ConfigError(f"unknown delta-search target {target!r}")
     except InfeasibleError as exc:
@@ -174,7 +178,7 @@ def _delta_search(cp, sec, q, out_dir):
 
 
 def _m0_search(cp, sec, q, out_dir):
-    report = verify.boltzmann_m0_search(_kernel_from(cp), q)
+    report = verify.boltzmann_m0_search(_kernel_from(cp, "boltzmann"), q)
     (out_dir / "result.json").write_text(report.to_json() + "\n")
     return 0 if report.feasible else 2
 

@@ -295,10 +295,10 @@ class Barrier:
             2.0 * (c1 + 2.0 * c2 * s) * np.eye(d) + 4.0 * c2 * np.outer(v, v)
         )
 
-    def as_field(self, decay_margin=1.05):
-        """View the barrier as a VelocityField (used in contact sweeps)."""
+    def as_field(self, decay_margin=1.05, dim=3):
+        """View the barrier as a ``dim``-dimensional VelocityField (used in contact sweeps)."""
         return VelocityField(
-            dim=3,
+            dim=dim,
             eval=lambda v: self.value(v),
             grad_eval=self.gradient,
             hess_eval=self.hessian,

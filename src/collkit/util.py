@@ -2,8 +2,11 @@
 
 All node/weight constructors here are deterministic: identical arguments
 produce bit-identical arrays, which is what makes downstream artifacts
-byte-reproducible.
+byte-reproducible.  The Gauss-Legendre base rule is solved once per order
+(:func:`legendre_rule`) and shared by every constructor.
 """
+
+import functools
 
 import numpy as np
 
@@ -29,15 +32,27 @@ def splitmix64(seed, n):
     return out
 
 
+@functools.cache
+def legendre_rule(n):
+    """Gauss-Legendre nodes/weights on [-1, 1], solved once per order ``n``.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_panel(a, b, n):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre_rule(n)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
 def _composite_gauss(edges, n_per_panel):
     """Flat nodes/weights of an ``n_per_panel``-point Gauss rule on each panel."""
-    gx, gw = np.polynomial.legendre.leggauss(n_per_panel)
+    gx, gw = legendre_rule(n_per_panel)
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     return (half * (gx + 1.0) + lo).ravel(), (half * gw).ravel()
@@ -84,7 +99,7 @@ def sphere_rule(dim, n_polar, n_azim):
         w = np.full(n_azim, 2.0 * np.pi / n_azim)
         return pts, w
     if dim == 3:
-        ct, wct = np.polynomial.legendre.leggauss(n_polar)
+        ct, wct = legendre_rule(n_polar)
         phi = (np.arange(n_azim) + 0.5) * 2.0 * np.pi / n_azim
         st = np.sqrt(1.0 - ct**2)
         pts = np.stack(

@@ -12,7 +12,12 @@ Contents:
   delta, with the exact boundary m > d + gamma;
 * the Boltzmann hyperplane integral (the inner integral the contact
   argument reduces to), the decay threshold m0 where it turns negative at
-  w = 0, and the delta window in |w|;
+  w = 0, and the delta window in |w|.  The integral takes a batch of w of
+  shape (..., 3) and returns one value per row, so the delta search scans
+  all its angles in one call.  On the plane z = e + rho*ehat it uses
+  |z|^2 = 1 + rho*(2 e.ehat + rho), i.e. log|z| = log1p(...)/2, so |z| is
+  never formed and |z|^{-m} = exp(-m log|z|) keeps full precision near
+  z = e;
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
 """
 
@@ -198,7 +203,16 @@ def boltzmann_hyperplane_integral(m, w, k, q):
         [ (|z|^{-m} r^{2-d+gamma} - |e-w|^{gamma+d} r^{-2(d-1)}) b(|e-z|/r)
           + |z|^{-m} r^{2-d+gamma} b(|e-w|/r) ] dz.
 
-    The bracket vanishes as z -> e; it is evaluated as A*expm1(Delta) with
+    ``w`` has shape (..., 3) with every row |w| < 1/2; the result has shape
+    ``w.shape[:-1]``, one integral per row, and a single point of shape (3,)
+    gives a float.  Scans over many w (the delta search) should pass them in
+    one call: the radial rule is built once and the arithmetic runs over all
+    rows together.
+
+    The plane is parametrised as z = e + rho*ehat with ehat a unit vector
+    orthogonal to (e - w), so |z|^2 = 1 + rho*(2 e.ehat + rho) and
+    log|z| = log1p(rho*(2 e.ehat + rho))/2 without forming z.  The bracket
+    vanishes as z -> e; it is evaluated as A*expm1(Delta) with
     A = |e-w|^{gamma+d} r^{-2(d-1)} and
     Delta = -m log|z| + (d+gamma) log(r/|e-w|), which is exact and keeps
     full precision where the non-cutoff kernel is largest.
@@ -207,35 +221,44 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     if d != 3:
         raise NotImplementedError("hyperplane integral implemented for d = 3")
     w = np.asarray(w, dtype=float)
-    a = float(np.linalg.norm(w))
-    if a >= 0.5:
+    if w.shape[-1:] != (d,):
+        raise ValueError(f"w must have shape (..., {d}), got {w.shape}")
+    batch = w.shape[:-1]
+    w = w.reshape(-1, d)
+    if np.any(np.linalg.norm(w, axis=-1) >= 0.5):
         raise ValueError("|w| must be < 1/2 (hyperplane domain constraint)")
-    e = np.zeros(d)
-    e[0] = 1.0
-    ew = e - w
-    q_ew = float(np.linalg.norm(ew))       # |e - w|
-    n = ew / q_ew
-    e1, e2 = orthonormal_complement(n[None, :])
-    e1, e2 = e1[0], e2[0]
+    ew = np.array([1.0, 0.0, 0.0]) - w
+    q_ew = np.linalg.norm(ew, axis=-1)[:, None, None]              # |e - w|, (B, 1, 1)
+    e1, e2 = orthonormal_complement(ew / q_ew[:, :, 0])
 
     rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
     rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes, 4)
-    rho = np.concatenate([rho_h, rho_t])
-    w_rho = np.concatenate([w_h, w_t]) * rho
+    rho = np.concatenate([rho_h, rho_t])[:, None]                 # (Nr, 1)
+    w_rho = np.concatenate([w_h, w_t])[:, None] * rho
 
     n_phi = 2 * q.angular_nodes
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    ehat = np.cos(phi)[:, None] * e1[None, :] + np.sin(phi)[:, None] * e2[None, :]
+    e_ehat = (np.cos(phi) * e1[:, :1] + np.sin(phi) * e2[:, :1])[:, None, :]
 
-    z = e[None, None, :] + rho[:, None, None] * ehat[None, :, :]   # (Nr, Nphi, 3)
-    az = np.linalg.norm(z, axis=-1)
-    r = np.sqrt(rho[:, None] ** 2 + q_ew**2)                       # (Nr, 1), phi-free
-    delta = -m * np.log(az) + (d + k.gamma) * np.log(r / q_ew)
-    A = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0))
-    bracket_term = A * np.expm1(delta) * k.b(rho[:, None] / r)
-    gain_term = az ** (-m) * r ** (2.0 - d + k.gamma) * k.b(q_ew / r)
-    return float(np.sum((bracket_term + gain_term) * w_rho[:, None]) * w_phi)
+    # phi-free factors, shape (B, Nr, 1)
+    r = np.sqrt(rho**2 + q_ew**2)
+    shift = (d + k.gamma) * np.log(r / q_ew)
+    loss = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0)) * k.b(rho / r) * w_rho
+    gain = r ** (2.0 - d + k.gamma) * k.b(q_ew / r) * w_rho
+
+    # two full-size (B, Nr, Nphi) buffers: -m log|z|, then the two terms
+    log_z = np.add(2.0 * e_ehat, rho)
+    log_z *= rho
+    np.log1p(log_z, out=log_z)
+    log_z *= -0.5 * m
+    term = np.add(log_z, shift)
+    np.expm1(term, out=term)
+    term *= loss
+    np.exp(log_z, out=log_z)
+    log_z *= gain
+    term += log_z
+    out = np.sum(term, axis=(1, 2)) * (2.0 * np.pi / n_phi)
+    return float(out[0]) if not batch else out.reshape(batch)
 
 
 def boltzmann_m0_search(k, q, ceiling=200.0, rel_tol=1e-4):
@@ -289,18 +312,12 @@ def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
             f"m = {m} is not above the origin threshold m0 = {m0.value}"
         )
     angles = np.linspace(0.0, np.pi, n_angles)
-    e_perp = np.array([0.0, 1.0, 0.0])
-    e = np.array([1.0, 0.0, 0.0])
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros(n_angles)], axis=-1)
 
     def worst(a):
-        vals = [
-            boltzmann_hyperplane_integral(
-                m, a * (np.cos(psi) * e + np.sin(psi) * e_perp), k, q
-            )
-            for psi in angles
-        ]
+        vals = boltzmann_hyperplane_integral(m, a * directions, k, q)
         i = int(np.argmax(vals))
-        return vals[i], angles[i]
+        return float(vals[i]), angles[i]
 
     lo, hi = None, None
     for a in np.geomspace(1e-4, 0.499, 24):

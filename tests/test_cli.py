@@ -41,6 +41,23 @@ def test_m0_search_command(tmp_path):
     assert sorted(manifest) == ["config", "version", "wall_time_s"]
 
 
+def test_boltzmann_commands_default_to_boltzmann_kernel(tmp_path):
+    # without [kernel] operator, a Boltzmann command gets the constant-b
+    # Boltzmann kernel at gamma = 0, whose m0 is 5
+    code, out_dir = run_cli(tmp_path, "[run]\ncommand = m0-search\n", out="m0")
+    assert code == 0
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert doc["parameter"] == "m0" and abs(doc["value"] - 5.0) < 1e-3
+    code, out_dir = run_cli(
+        tmp_path, "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = boltzmann\n",
+        out="delta",
+    )
+    assert code == 0
+    doc = json.loads((out_dir / "result.json").read_text())
+    assert doc["parameter"] == "delta" and 0.0 < doc["value"] < 0.5
+    assert doc["certificate"][0]["integral"] <= 0.0 < doc["certificate"][1]["integral"]
+
+
 def test_artifacts_are_deterministic(tmp_path):
     _, out1 = run_cli(tmp_path, M0_CONFIG, out="out1")
     _, out2 = run_cli(tmp_path, M0_CONFIG, out="out2")
@@ -155,9 +172,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
         # values that cannot be read
         "[run]\ncommand = landau-eval\n\n[kernel]\ngamma = abc\n",
         "[run]\ncommand = landau-eval\n\n[quadrature]\nradial_nodes = 12.0\n",
-        # a kernel the command cannot use (the default kernel is Landau)
+        # a kernel the command cannot use
         "[run]\ncommand = landau-eval\n\n[kernel]\noperator = boltzmann\n",
-        "[run]\ncommand = m0-search\n",
+        "[run]\ncommand = m0-search\n\n[kernel]\noperator = landau\n",
+        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = landau\n",
+        "[run]\ncommand = delta-search\n\n[kernel]\noperator = landau\n\n"
+        "[delta-search]\ntarget = boltzmann\n",
         # an unknown representation
         "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\n\n"
         "[boltzmann-eval]\nrepresentation = direct\n",

@@ -6,6 +6,7 @@ from collkit.util import (
     gauss_panel,
     geometric_panels,
     graded_panels,
+    legendre_rule,
     orthonormal_complement,
     sphere_area,
     sphere_rule,
@@ -62,19 +63,51 @@ def test_geometric_panels_log_integrand():
     assert np.dot(w, 1.0 / x) == pytest.approx(4.0, rel=1e-8)
 
 
+def test_legendre_rule_cached_read_only():
+    for n in (2, 4, 8, 12):
+        x, w = legendre_rule(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert legendre_rule(n)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_panel_rules_equal_per_panel_gauss():
-    # the vectorized composite rule does the per-panel arithmetic of
-    # gauss_panel, so the two agree bit for bit
+    # the vectorized composite rule does the per-panel arithmetic of a freshly
+    # solved Gauss-Legendre rule, so the two agree bit for bit
+    def fresh_panel(lo, hi, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
+
     cases = [
         (graded_panels(0.0, 1.0, 12, 4, ratio=2.0),
          (np.arange(13) / 12.0) ** 2.0),
+        (graded_panels(0.0, 1.0, 16, 4, ratio=2.5),
+         (np.arange(17) / 16.0) ** 2.5),
         (geometric_panels(1.0, 9.0, 7, 5), np.geomspace(1.0, 9.0, 8)),
+        (geometric_panels(1.0, 1e4, 32, 4), np.geomspace(1.0, 1e4, 33)),
     ]
     for (x, w), edges in cases:
         n = len(x) // (len(edges) - 1)
-        rules = [gauss_panel(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
-        assert np.array_equal(x, np.concatenate([r[0] for r in rules]))
-        assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
+        for build in (gauss_panel, fresh_panel):
+            rules = [build(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
+            assert np.array_equal(x, np.concatenate([r[0] for r in rules]))
+            assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
+
+
+def test_sphere_rule_equals_fresh_gauss():
+    for n_polar, n_azim in ((8, 16), (12, 24)):
+        pts, w = sphere_rule(3, n_polar, n_azim)
+        ct, wct = np.polynomial.legendre.leggauss(n_polar)
+        phi = (np.arange(n_azim) + 0.5) * 2.0 * np.pi / n_azim
+        st = np.sqrt(1.0 - ct**2)
+        ref = np.stack([st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
+                        np.broadcast_to(ct[:, None], (n_polar, n_azim))], axis=-1)
+        assert np.array_equal(pts, ref.reshape(-1, 3))
+        assert np.array_equal(w, (wct[:, None] * (2.0 * np.pi / n_azim)
+                                  * np.ones(n_azim)).reshape(-1))
 
 
 def test_panel_interval_validation():

@@ -21,9 +21,10 @@ from collkit import (
     make_barrier,
 )
 from collkit.fields import shell_field
+from collkit.util import geometric_panels, graded_panels, orthonormal_complement
 from collkit.verify import landau_integrand_g
 
-from conftest import b_ones
+from conftest import b_cos2, b_ones
 
 
 def hyperplane_closed_form(m, gamma):
@@ -91,6 +92,58 @@ def test_hyperplane_rejects_large_w(q_default, kernel_boltzmann_g0):
                                       kernel_boltzmann_g0, q_default)
 
 
+def hyperplane_reference(m, w, k, q):
+    """The per-point formula: z as a 3-vector, |z| by norm, then log and **(-m)."""
+    e = np.array([1.0, 0.0, 0.0])
+    ew = e - w
+    q_ew = float(np.linalg.norm(ew))
+    e1, e2 = orthonormal_complement((ew / q_ew)[None, :])
+    rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
+    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes, 4)
+    rho = np.concatenate([rho_h, rho_t])
+    w_rho = np.concatenate([w_h, w_t]) * rho
+    n_phi = 2 * q.angular_nodes
+    phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    ehat = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    z = e + rho[:, None, None] * ehat[None, :, :]
+    az = np.linalg.norm(z, axis=-1)
+    r = np.sqrt(rho[:, None] ** 2 + q_ew**2)
+    delta = -m * np.log(az) + (3.0 + k.gamma) * np.log(r / q_ew)
+    loss = q_ew ** (k.gamma + 3.0) * r**-4.0 * np.expm1(delta) * k.b(rho[:, None] / r)
+    gain = az ** (-m) * r ** (k.gamma - 1.0) * k.b(q_ew / r)
+    return float(np.sum((loss + gain) * w_rho[:, None]) * (2.0 * np.pi / n_phi))
+
+
+def test_hyperplane_batch_matches_per_point_formula(q_fast):
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(20, 3))
+    w *= (0.45 * rng.random(20) / np.linalg.norm(w, axis=-1))[:, None]
+    for b in (b_ones, b_cos2, lambda x: np.asarray(x, dtype=float) ** -1.0):
+        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+        for m in (4.0, 8.0, 50.0, 200.0):
+            got = boltzmann_hyperplane_integral(m, w, k, q_fast)
+            ref = np.array([hyperplane_reference(m, row, k, q_fast) for row in w])
+            err = np.abs(got - ref)
+            assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-14)), (m, err)
+
+
+def test_hyperplane_batch_shapes(q_fast, kernel_boltzmann_g0):
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(6, 3))
+    w *= (0.4 / np.linalg.norm(w, axis=-1))[:, None]
+    batch = boltzmann_hyperplane_integral(7.0, w, kernel_boltzmann_g0, q_fast)
+    assert batch.shape == (6,)
+    single = [boltzmann_hyperplane_integral(7.0, row, kernel_boltzmann_g0, q_fast)
+              for row in w]
+    assert all(type(v) is float for v in single)
+    assert np.array_equal(batch, single)
+    grid = boltzmann_hyperplane_integral(7.0, w.reshape(2, 3, 3), kernel_boltzmann_g0, q_fast)
+    assert np.array_equal(grid, batch.reshape(2, 3))
+    w[4] = [0.0, 0.5, 0.0]
+    with pytest.raises(ValueError):
+        boltzmann_hyperplane_integral(7.0, w, kernel_boltzmann_g0, q_fast)
+
+
 def test_m0_search_constant_kernel(q_default, kernel_boltzmann_g0):
     rep = boltzmann_m0_search(kernel_boltzmann_g0, q_default)
     assert rep.feasible
@@ -140,6 +193,16 @@ def test_contact_ratio_quadratic_homogeneity(q_fast):
         lhs, unit = contact_estimate_check(cfg, k, q_fast)
         ratios.append(lhs / unit)
     assert ratios[1] == pytest.approx(ratios[0], rel=1e-10)
+
+
+def test_contact_estimate_2d_landau(q_fast):
+    barrier = make_barrier(5.0, 1.0)
+    for gamma in (-1.5, 0.0, 1.0):
+        k = KernelSpec(dim=2, gamma=gamma, operator="landau")
+        cfg = ContactConfiguration(barrier=barrier, field=barrier.as_field(dim=2),
+                                   v0=np.array([1.2, -0.7]))
+        lhs, unit = contact_estimate_check(cfg, k, q_fast)
+        assert np.isfinite(lhs) and np.isfinite(unit) and unit > 0.0
 
 
 def test_contact_validation_rejects_crossing(q_fast):

@@ -8,7 +8,6 @@ from .core import (
     KernelSpec,
     QuadratureScheme,
     VelocityField,
-    barrier_eval,
     make_barrier,
     weighted_sup_norm,
 )
@@ -26,7 +25,6 @@ from .exceptions import (
 from .fields import bump_field, bump_suite, gaussian_field, shell_field
 from .landau import LandauCoefficients, landau_coefficients, q_landau
 from .boltzmann import (
-    CollisionGeometry,
     cb_constant,
     kernel_integrability_check,
     post_collision_map,

@@ -3,7 +3,8 @@
 Two evaluation routes are provided and cross-validated:
 
 * ``q_boltzmann_sigma``: the textbook double integral over (v_*, sigma),
-  usable only for angularly integrable (cutoff) cross-sections.
+  usable only for angularly integrable (cutoff) cross-sections; its
+  outgoing pairs come from the vectorized :func:`post_collision_map`.
 * ``q_boltzmann_carleman``: the singular/nonsingular split Q = Q_s + Q_ns,
   valid for cutoff and non-cutoff kernels alike.
 
@@ -24,8 +25,6 @@ r^2 = rho^2 + u^2) and C_b computed once per kernel by the cancellation
 integral in :func:`cb_constant`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -35,46 +34,21 @@ from .landau import polar_nodes, singular_convolution
 from .util import graded_panels, orthonormal_complement, sphere_area, sphere_rule
 
 
-@dataclass(frozen=True)
-class CollisionGeometry:
-    """One binary collision: incoming pair, outgoing pair, and angle data.
+def post_collision_map(v, v_star, sigma, r):
+    """Outgoing pair (v', v'_*) for the incoming pair (v, v_*) and unit sigma.
 
-    theta is NaN (with ``degenerate`` True) when v == v_star, where the
-    deviation angle is undefined.
+    v'   = (v + v_*)/2 + r sigma / 2
+    v'_* = (v + v_*)/2 - r sigma / 2,    r = |v - v_*|
+
+    Arguments broadcast over leading axes (r has no trailing vector axis).
+    r is passed in because the sigma route already has it as its radial node.
     """
-
-    v: np.ndarray
-    v_star: np.ndarray
-    v_prime: np.ndarray
-    v_star_prime: np.ndarray
-    sigma: np.ndarray
-    r: float
-    theta: float
-    degenerate: bool = False
-
-
-def post_collision_map(v, v_star, sigma):
-    """Outgoing velocities for incoming pair (v, v_star) and direction sigma.
-
-    v'      = (v + v_*)/2 + |v - v_*| sigma / 2
-    v'_*    = (v + v_*)/2 - |v - v_*| sigma / 2
-    """
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if abs(np.linalg.norm(sigma) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(sigma, axis=-1) - 1.0) > 1e-12):
         raise ValueError("sigma must be a unit vector")
-    rel = v - v_star
-    r = float(np.linalg.norm(rel))
-    mid = 0.5 * (v + v_star)
-    v_prime = mid + 0.5 * r * sigma
-    v_star_prime = mid - 0.5 * r * sigma
-    if r == 0.0:
-        return CollisionGeometry(v, v_star, v_prime, v_star_prime, sigma,
-                                 r=0.0, theta=float("nan"), degenerate=True)
-    cos_t = float(np.clip(sigma @ rel / r, -1.0, 1.0))
-    return CollisionGeometry(v, v_star, v_prime, v_star_prime, sigma,
-                             r=r, theta=float(np.arccos(cos_t)))
+    mid = 0.5 * (np.asarray(v, dtype=float) + v_star)
+    half = 0.5 * np.asarray(r, dtype=float)[..., None] * sigma
+    return mid + half, mid - half
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +125,7 @@ def q_boltzmann_sigma(f, v, k, q):
     for i in range(len(r)):
         vs = pts[i]                               # (Nom, d) = v + r_i omega
         f_vs = f(vs)
-        mid = 0.5 * (v + vs)
-        vp = mid[None, :, :] + 0.5 * r[i] * sigma[:, None, :]
-        vps = mid[None, :, :] - 0.5 * r[i] * sigma[:, None, :]
+        vp, vps = post_collision_map(v, vs[None], sigma[:, None], r[i])
         vals = f(vp) * f(vps) - f_v * f_vs[None, :]
         total += wr[i] * r[i] ** k.gamma * np.einsum(
             "s,so,so,o->", w_sg, b_vals, vals, w_om

@@ -135,7 +135,10 @@ def _point_eval(cp, sec, q, out_dir):
         evaluate, operator = _REPRESENTATIONS[rep], "boltzmann"
     k = _kernel_from(cp, operator)
     f = _field_from(sec.get("field", "maxwellian"), k.dim)
-    point = np.array([float(x) for x in sec.get("point", "0 0 0").split()])
+    point = np.array([float(x) for x in sec["point"].split()] if "point" in sec
+                     else np.zeros(k.dim))
+    if point.shape != (k.dim,):
+        raise ConfigError(f"point has {point.size} coordinates, the kernel has dim = {k.dim}")
     _write_json(out_dir / "result.json",
                 {"command": cmd, "point": point.tolist(), "value": evaluate(f, point, k, q)})
     return 0

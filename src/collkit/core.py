@@ -336,21 +336,6 @@ def make_barrier(m, alpha):
     return barrier
 
 
-def barrier_eval(barrier, v, order="value"):
-    """Evaluate barrier value, gradient, or hessian at a point.
-
-    ``order`` is one of "value", "gradient", "hessian".
-    """
-    v = np.asarray(v, dtype=float)
-    if order == "value":
-        return float(barrier.value(v))
-    if order == "gradient":
-        return barrier.gradient(v)
-    if order == "hessian":
-        return barrier.hessian(v)
-    raise ValueError(f"order must be value|gradient|hessian, got {order!r}")
-
-
 # ---------------------------------------------------------------------------
 # Weighted sup norm
 

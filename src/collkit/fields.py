@@ -53,7 +53,6 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
     def ev(v):
         dv = (v - c) / radius
         s = np.sum(dv * dv, axis=-1)
-        out = np.zeros(np.shape(s))
         inside = s < 1.0
         si = np.where(inside, s, 0.0)
         out = np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - si)), 0.0)

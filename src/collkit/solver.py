@@ -19,7 +19,6 @@ these logs feed the Gronwall-bound and Riccati-envelope checks.
 """
 
 import csv
-import struct
 from dataclasses import dataclass, field as dc_field
 from typing import List
 
@@ -30,8 +29,6 @@ from .util import sphere_area
 
 NEGATIVITY_LIMIT = 1e-12   # relative to max; larger dips abort the run
 CONTAINMENT_LIMIT = 1e-8   # boundary-ring mass relative to max
-
-_BIN_MAGIC = b"CKGF"
 
 
 @dataclass
@@ -71,23 +68,6 @@ class GridField:
         if mx > 0 and ring > CONTAINMENT_LIMIT * mx:
             raise RunAbortedError(f"boundary ring value {ring:.3e} breaks containment")
         return neg
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(_BIN_MAGIC)
-            fh.write(struct.pack("<iidd", 3, self.n, self.V, self.h))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(4) != _BIN_MAGIC:
-                raise ValueError("not a grid-field file")
-            d, n, V, h = struct.unpack("<iidd", fh.read(24))
-            if d != 3:
-                raise UnsupportedParameterError("grid fields are 3-D")
-            vals = np.frombuffer(fh.read(8 * n**3), dtype="<f8").reshape(n, n, n)
-        return cls(n=n, V=V, values=vals.copy())
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 Everything here produces *certificates at a resolution*, not proofs: each
 threshold search reports the sampled extremal values and the grid that
-produced them, and claims nothing beyond that resolution.
+produced them, and claims nothing beyond that resolution.  The three
+searches (Landau delta, Boltzmann m0, Boltzmann delta) share one
+bracket-then-bisect loop, :func:`_sign_search`, which memoizes what it
+evaluates, so each certificate reuses the search's own values.
 
 Contents:
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .boltzmann import q_boltzmann_carleman
 from .core import _norm_sample_points
-from .exceptions import ConfigurationError, InfeasibleError
+from .exceptions import ConfigurationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
 from .util import bracket, geometric_panels, graded_panels, orthonormal_complement
 
@@ -82,6 +85,42 @@ class ThresholdReport:
             "feasible": self.feasible,
         }
         return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Sign-change search
+
+
+def _sign_search(fn, probes, mid, converged, ok):
+    """Bracket, then bisect, the point where ``ok(fn(x))`` stops holding.
+
+    Scans ``probes`` in order until ``ok(fn(x))`` fails, then bisects the
+    bracket with ``mid`` until ``converged(lo, hi)``.  Returns
+    ``(lo, hi, at)``: ``lo`` is the last point where ``ok`` held (None when
+    the first probe already fails), ``hi`` the first where it failed (None
+    when no probe fails), and ``at`` is ``fn`` memoized over every point the
+    search evaluated, so certificates reuse the search's own values.
+    """
+    seen = {}
+
+    def at(x):
+        if x not in seen:
+            seen[x] = fn(x)
+        return seen[x]
+
+    lo = hi = None
+    for x in probes:
+        if not ok(at(x)):
+            hi = x
+            break
+        lo = x
+    while lo is not None and hi is not None and not converged(lo, hi):
+        x = mid(lo, hi)
+        if ok(at(x)):
+            lo = x
+        else:
+            hi = x
+    return lo, hi, at
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +186,14 @@ def landau_delta_search(m, d, gamma, rel_tol=1e-3, grid_n=96):
     """Largest delta with sup_{B_delta} G <= 0, by log-scale bracket + bisection.
 
     Requires m > d + gamma; at m = d + gamma the value at w = 0 is already 0
-    and no ball works.
+    and no ball works.  The search is :func:`_sign_search` with probes
+    10^-14 ... 10^0 (capped at 0.999) and geometric midpoints; the
+    certificate reuses its evaluations.
     """
+    if not (np.isfinite(m) and np.isfinite(gamma)):
+        raise ValueError(f"m and gamma must be finite, got m = {m}, gamma = {gamma}")
+    if d < 2:
+        raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
     if m <= d + gamma:
         raise InfeasibleError(
             f"no negativity window: G(0) = (d-1)(d+gamma-m) = "
@@ -156,37 +201,18 @@ def landau_delta_search(m, d, gamma, rel_tol=1e-3, grid_n=96):
         )
     # bracket on a log scale: near the feasibility boundary the window
     # shrinks like (m - d - gamma), so start from far below machine-threshold
-    lo, hi = None, None
-    for exp in np.append(np.arange(-14.0, 0.0, 0.5), 0.0):
-        delta = min(10.0**exp, 0.999)
-        s = landau_integrand_sup(m, d, gamma, delta, grid_n)
-        if s <= 0.0:
-            lo = delta
-        else:
-            hi = delta
-            break
+    lo, hi, sup = _sign_search(
+        lambda delta: landau_integrand_sup(m, d, gamma, delta, grid_n),
+        [min(10.0**e, 0.999) for e in np.append(np.arange(-14.0, 0.0, 0.5), 0.0)],
+        mid=lambda lo, hi: float(np.sqrt(lo * hi)),
+        converged=lambda lo, hi: hi / lo <= 1.0 + rel_tol,
+        ok=lambda s: s <= 0.0,
+    )
     if lo is None:
         raise InfeasibleError("integrand positive at every probed delta")
-    if hi is None:
-        # negative all the way up to the domain edge
-        delta_star = 0.999
-        cert = [{"delta": delta_star,
-                 "sup": landau_integrand_sup(m, d, gamma, delta_star, grid_n)}]
-        return ThresholdReport("delta", delta_star, cert,
-                               {"grid_n": grid_n, "d": d, "gamma": gamma, "m": m})
-    while hi / lo > 1.0 + rel_tol:
-        mid = float(np.sqrt(lo * hi))
-        if landau_integrand_sup(m, d, gamma, mid, grid_n) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    delta_star = lo
-    cert = [
-        {"delta": delta_star, "sup": landau_integrand_sup(m, d, gamma, delta_star, grid_n)},
-        {"delta": min(1.05 * delta_star, 0.999),
-         "sup": landau_integrand_sup(m, d, gamma, min(1.05 * delta_star, 0.999), grid_n)},
-    ]
-    return ThresholdReport("delta", delta_star, cert,
+    # hi is None: negative all the way up to the domain edge
+    points = [lo] if hi is None else [lo, min(1.05 * lo, 0.999)]
+    return ThresholdReport("delta", lo, [{"delta": x, "sup": sup(x)} for x in points],
                            {"grid_n": grid_n, "d": d, "gamma": gamma, "m": m})
 
 
@@ -219,7 +245,7 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     """
     d = k.dim
     if d != 3:
-        raise NotImplementedError("hyperplane integral implemented for d = 3")
+        raise UnsupportedParameterError("the hyperplane integral is implemented for d = 3")
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != (d,):
         raise ValueError(f"w must have shape (..., {d}), got {w.shape}")
@@ -264,48 +290,48 @@ def boltzmann_hyperplane_integral(m, w, k, q):
 def boltzmann_m0_search(k, q, ceiling=200.0, rel_tol=1e-4):
     """Smallest m at which the origin hyperplane integral turns negative.
 
-    The integral is monotone decreasing in m (|z| >= 1 on the plane), so a
-    doubling bracket plus bisection finds the sign change.  If no sign change
-    occurs below the ceiling, an infeasible report is returned rather than a
-    fake threshold.
+    The integral is monotone decreasing in m (|z| >= 1 on the plane), so
+    :func:`_sign_search` probes m = gamma + 2, then doubles from
+    max(2|gamma + 2|, 8) up to ``ceiling`` and bisects arithmetically; the
+    certificate reuses its evaluations.  If no sign change occurs below the
+    ceiling, an infeasible report is returned rather than a fake threshold.
     """
     if k.operator != "boltzmann":
         raise ValueError("boltzmann_m0_search requires a Boltzmann kernel")
+    if not np.isfinite(ceiling):
+        raise ValueError(f"the m ceiling must be finite, got {ceiling}")
     w0 = np.zeros(k.dim)
-
-    def val(m):
-        return boltzmann_hyperplane_integral(m, w0, k, q)
-
-    m_lo = k.gamma + 2.0  # below this the tail of the integral diverges
-    v_lo = val(m_lo)
-    if v_lo < 0.0:
-        cert = [{"m": m_lo, "integral": v_lo}]
-        return ThresholdReport("m0", m_lo, cert, _grid_meta(q))
-    m_hi = max(2.0 * abs(m_lo), 8.0)
-    while val(m_hi) >= 0.0:
-        m_hi *= 2.0
-        if m_hi > ceiling:
-            cert = [{"m": ceiling, "integral": val(ceiling)}]
-            return ThresholdReport("m0", None, cert, _grid_meta(q), feasible=False)
-    while m_hi - m_lo > rel_tol * max(1.0, m_lo):
-        mid = 0.5 * (m_lo + m_hi)
-        if val(mid) >= 0.0:
-            m_lo = mid
-        else:
-            m_hi = mid
-    cert = [
-        {"m": m_lo, "integral": val(m_lo)},
-        {"m": m_hi, "integral": val(m_hi)},
-    ]
-    return ThresholdReport("m0", 0.5 * (m_lo + m_hi), cert, _grid_meta(q))
+    m_min = k.gamma + 2.0  # below this the tail of the integral diverges
+    probes = [m_min, max(2.0 * abs(m_min), 8.0)]
+    while 2.0 * probes[-1] <= ceiling:
+        probes.append(2.0 * probes[-1])
+    lo, hi, val = _sign_search(
+        lambda m: boltzmann_hyperplane_integral(m, w0, k, q), probes,
+        mid=lambda lo, hi: 0.5 * (lo + hi),
+        converged=lambda lo, hi: hi - lo <= rel_tol * max(1.0, lo),
+        ok=lambda v: v >= 0.0,
+    )
+    if lo is None:
+        return ThresholdReport("m0", m_min, [{"m": m_min, "integral": val(m_min)}],
+                               _grid_meta(q))
+    if hi is None:
+        return ThresholdReport("m0", None, [{"m": ceiling, "integral": val(ceiling)}],
+                               _grid_meta(q), feasible=False)
+    cert = [{"m": lo, "integral": val(lo)}, {"m": hi, "integral": val(hi)}]
+    return ThresholdReport("m0", 0.5 * (lo + hi), cert, _grid_meta(q))
 
 
 def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
     """Largest |w| window on which the hyperplane integral stays nonpositive.
 
-    Only the angle between w and e matters; it is scanned over [0, pi]
-    before bisecting in |w|.  Requires m above the kernel's m0 threshold.
+    Only the angle between w and e matters; each |w| is scored by the worst
+    of ``n_angles`` angles over [0, pi], scanned in one batched call.
+    :func:`_sign_search` probes 24 geometric |w| up to 0.499 and bisects
+    arithmetically; the certificate reuses its scans.  Requires m above the
+    kernel's m0 threshold.
     """
+    if not np.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     m0 = boltzmann_m0_search(k, q)
     if not m0.feasible or m <= m0.value:
         raise InfeasibleError(
@@ -319,36 +345,16 @@ def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
         i = int(np.argmax(vals))
         return float(vals[i]), angles[i]
 
-    lo, hi = None, None
-    for a in np.geomspace(1e-4, 0.499, 24):
-        v, _ = worst(a)
-        if v <= 0.0:
-            lo = a
-        else:
-            hi = a
-            break
+    lo, hi, scan = _sign_search(
+        worst, np.geomspace(1e-4, 0.499, 24),
+        mid=lambda lo, hi: 0.5 * (lo + hi),
+        converged=lambda lo, hi: hi - lo <= rel_tol * hi,
+        ok=lambda vs: vs[0] <= 0.0,
+    )
     if lo is None:
         raise InfeasibleError("integral positive at every probed |w|")
-    if hi is None:
-        v, psi = worst(0.499)
-        return ThresholdReport(
-            "delta", 0.499,
-            [{"abs_w": 0.499, "worst_angle": psi, "integral": v}],
-            {**_grid_meta(q), "n_angles": n_angles, "m": m},
-        )
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        v, _ = worst(mid)
-        if v <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    v_lo, psi_lo = worst(lo)
-    v_hi, psi_hi = worst(hi)
-    cert = [
-        {"abs_w": lo, "worst_angle": psi_lo, "integral": v_lo},
-        {"abs_w": hi, "worst_angle": psi_hi, "integral": v_hi},
-    ]
+    cert = [{"abs_w": a, "worst_angle": scan(a)[1], "integral": scan(a)[0]}
+            for a in ([lo] if hi is None else [lo, hi])]
     return ThresholdReport("delta", lo, cert,
                            {**_grid_meta(q), "n_angles": n_angles, "m": m})
 

@@ -27,53 +27,42 @@ from conftest import b_cos2, b_ones
 
 
 coord = st.floats(-5.0, 5.0, allow_nan=False)
+vec = st.tuples(coord, coord, coord)
 
 
 @given(
-    v=st.tuples(coord, coord, coord),
-    vs=st.tuples(coord, coord, coord),
+    pairs=st.lists(st.tuples(vec, vec), min_size=1, max_size=4),
     ang=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)),
 )
 @settings(max_examples=200, deadline=None)
-def test_collision_invariants(v, vs, ang):
+def test_collision_invariants(pairs, ang):
+    # one batched call over the drawn pairs, sigma broadcast across the batch
     theta, phi = ang
     sigma = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
     sigma /= np.linalg.norm(sigma)
-    g = post_collision_map(np.array(v), np.array(vs), sigma)
-    scale = 1.0 + np.linalg.norm(v) + np.linalg.norm(vs)
+    v, vs = np.array(pairs, dtype=float).transpose(1, 0, 2)
+    r = np.linalg.norm(v - vs, axis=-1)
+    vp, vps = post_collision_map(v, vs, sigma, r)
+    scale = 1.0 + np.linalg.norm(v, axis=-1) + np.linalg.norm(vs, axis=-1)
     # momentum
-    assert np.allclose(g.v_prime + g.v_star_prime, g.v + g.v_star, atol=1e-12 * scale)
+    assert np.all(np.abs(vp + vps - v - vs) <= 1e-12 * scale[:, None])
     # energy
-    e_in = g.v @ g.v + g.v_star @ g.v_star
-    e_out = g.v_prime @ g.v_prime + g.v_star_prime @ g.v_star_prime
-    assert e_out == pytest.approx(e_in, abs=1e-11 * scale**2)
+    e_in = np.sum(v * v + vs * vs, axis=-1)
+    e_out = np.sum(vp * vp + vps * vps, axis=-1)
+    assert np.all(np.abs(e_out - e_in) <= 1e-11 * scale**2)
     # relative speed
-    assert np.linalg.norm(g.v_prime - g.v_star_prime) == pytest.approx(
-        g.r, abs=1e-12 * scale
-    )
-
-
-def test_collision_deviation_angle():
-    g = post_collision_map(
-        np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    )
-    assert g.theta == pytest.approx(np.pi / 2.0)
-    assert not g.degenerate
-
-
-def test_collision_degenerate_pair():
-    v = np.array([0.3, 0.3, 0.3])
-    g = post_collision_map(v, v, np.array([0.0, 0.0, 1.0]))
-    assert g.degenerate
-    assert np.isnan(g.theta)
-    assert np.allclose(g.v_prime, v)
+    assert np.all(np.abs(np.linalg.norm(vp - vps, axis=-1) - r) <= 1e-12 * scale)
+    # each row is what the map gives for that pair alone
+    for i in range(len(r)):
+        one_p, one_ps = post_collision_map(v[i], vs[i], sigma, r[i])
+        assert np.array_equal(one_p, vp[i]) and np.array_equal(one_ps, vps[i])
 
 
 def test_collision_rejects_non_unit_sigma():
     with pytest.raises(ValueError):
-        post_collision_map(np.zeros(3), np.ones(3), np.array([0.0, 0.0, 2.0]))
+        post_collision_map(np.zeros(3), np.ones(3), np.array([0.0, 0.0, 2.0]), np.sqrt(3.0))
 
 
 # ---------------------------------------------------------------------------

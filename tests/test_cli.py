@@ -90,6 +90,24 @@ def test_landau_eval_command(tmp_path):
     assert abs(doc["value"]) < 1e-4  # Maxwellian equilibrium
 
 
+def test_landau_eval_point_matches_dim(tmp_path, capsys):
+    # the default point is the origin in the kernel's dimension
+    code, out_dir = run_cli(
+        tmp_path,
+        "[run]\ncommand = landau-eval\n\n[kernel]\ndim = 2\n\n"
+        "[quadrature]\nradial_nodes = 6\nangular_nodes = 6\n",
+        out="dim2",
+    )
+    assert code == 0
+    assert json.loads((out_dir / "result.json").read_text())["point"] == [0.0, 0.0]
+    code, out_dir = run_cli(
+        tmp_path, "[run]\ncommand = landau-eval\n\n[landau-eval]\npoint = 1 2\n", out="short",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: point has 2 coordinates, the kernel has dim = 3\n"
+    assert not (out_dir / "result.json").exists()
+
+
 def test_barrier_check_command(tmp_path):
     code, out_dir = run_cli(
         tmp_path,
@@ -184,6 +202,15 @@ def test_unknown_key_rejected(tmp_path, capsys):
         # b alone makes this kernel non-cutoff, which the sigma route refuses
         "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\nb = power:-3\n\n"
         "[boltzmann-eval]\nrepresentation = sigma\n",
+        # parameters a search cannot certify: a NaN m or gamma, d < 2, a 2-D
+        # Boltzmann kernel
+        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\nm = nan\n",
+        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\ngamma = nan\n",
+        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = boltzmann\nm = nan\n",
+        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\nd = 1\ngamma = 0\n",
+        "[run]\ncommand = m0-search\n\n[kernel]\ndim = 2\n",
+        "[run]\ncommand = delta-search\n\n[kernel]\ndim = 2\n\n"
+        "[delta-search]\ntarget = boltzmann\n",
     ]
     for i, text in enumerate(bad_configs):
         code, out_dir = run_cli(tmp_path, text, out=f"out{i}")

@@ -10,7 +10,6 @@ from collkit import (
     QuadratureScheme,
     UnsupportedParameterError,
     VelocityField,
-    barrier_eval,
     make_barrier,
     weighted_sup_norm,
 )
@@ -93,14 +92,14 @@ def test_sup_norm_rejects_non_finite(q_fast):
 
 def test_barrier_outer_value():
     b = make_barrier(5.0, 1.0)
-    assert barrier_eval(b, np.array([2.0, 0.0, 0.0])) == pytest.approx(2.0**-5)
+    assert float(b.value(np.array([2.0, 0.0, 0.0]))) == pytest.approx(2.0**-5)
 
 
 def test_barrier_hessian_spectrum_at_unit_vector():
     # at |v| = 1 the radial eigenvalue is m(m+2) - m = 30 and the two
     # transverse eigenvalues are -m = -5 (for m = 5, alpha = 1)
     b = make_barrier(5.0, 1.0)
-    H = barrier_eval(b, np.array([1.0, 0.0, 0.0]), order="hessian")
+    H = b.hessian(np.array([1.0, 0.0, 0.0]))
     eigs = np.sort(np.linalg.eigvalsh(H))
     assert np.allclose(eigs, [-5.0, -5.0, 30.0], atol=1e-12)
 
@@ -169,12 +168,6 @@ def test_make_barrier_argument_errors():
         make_barrier(0.0, 1.0)
     with pytest.raises(ValueError):
         make_barrier(5.0, -1.0)
-
-
-def test_barrier_eval_order_validation():
-    b = make_barrier(5.0, 1.0)
-    with pytest.raises(ValueError):
-        barrier_eval(b, np.zeros(3), order="jacobian")
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,6 @@ def test_gridfield_shape_validation():
         GridField(n=3, V=4.0, values=np.zeros((3, 3, 3)))
 
 
-def test_gridfield_save_load_roundtrip(tmp_path):
-    gf = make_gaussian_grid(n=12, V=5.0, theta=0.5)
-    path = tmp_path / "field.ckgf"
-    gf.save(path)
-    back = GridField.load(path)
-    assert back.n == gf.n and back.V == gf.V
-    assert np.array_equal(back.values, gf.values)
-
-
-def test_gridfield_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckgf"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        GridField.load(path)
-
-
 def test_check_validity_negativity():
     vals = np.zeros((8, 8, 8))
     vals[4, 4, 4] = 1.0

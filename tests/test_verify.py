@@ -20,6 +20,7 @@ from collkit import (
     landau_integrand_sup,
     make_barrier,
 )
+from collkit import verify
 from collkit.fields import shell_field
 from collkit.util import geometric_panels, graded_panels, orthonormal_complement
 from collkit.verify import landau_integrand_g
@@ -63,6 +64,12 @@ def test_delta_search_feasible():
     # certificate shows nonpositive sup at delta* and the grid used
     assert rep.certificate[0]["sup"] <= 0.0
     assert rep.resolution["m"] == 10.0
+    # at d + gamma = 0 a small m keeps G <= 0 on every probed ball: no probe
+    # fails, so the window is the domain edge with a one-sided certificate
+    rep = landau_delta_search(1e-3, 3, -3.0)
+    assert rep.value == 0.999
+    assert [c["delta"] for c in rep.certificate] == [0.999]
+    assert rep.certificate[0]["sup"] <= 0.0
 
 
 def test_delta_search_infeasible():
@@ -164,6 +171,23 @@ def test_boltzmann_delta_search(q_fast, kernel_boltzmann_g0):
     rep = boltzmann_delta_search(8.0, kernel_boltzmann_g0, q_fast, n_angles=16)
     assert rep.feasible and 0.0 < rep.value < 0.5
     assert rep.certificate[0]["integral"] <= 0.0
+
+
+def test_searches_evaluate_no_point_twice(monkeypatch, q_default, kernel_boltzmann_g0):
+    calls = []
+
+    def counted(m, w, k, q):
+        calls.append((m, np.asarray(w, dtype=float).tobytes()))
+        return hyperplane(m, w, k, q)
+
+    hyperplane = verify.boltzmann_hyperplane_integral
+    monkeypatch.setattr(verify, "boltzmann_hyperplane_integral", counted)
+    rep = boltzmann_delta_search(7.5, kernel_boltzmann_g0, q_default)
+    assert rep.feasible and len(rep.certificate) == 2
+    # 32 batched angle scans and 16 origin integrals of the inner m0 search
+    n_scalar = sum(len(w) == 3 * 8 for _, w in calls)
+    assert (len(calls) - n_scalar, n_scalar) == (32, 16)
+    assert len(set(calls)) == len(calls)
 
 
 def test_boltzmann_delta_search_below_threshold(q_fast, kernel_boltzmann_g0):

@@ -31,7 +31,7 @@ from scipy.integrate import quad
 from .core import _grazing_probe
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_nodes, singular_convolution
-from .util import graded_panels, orthonormal_complement, sphere_area, sphere_rule
+from .util import graded_panels, orthonormal_complement, sphere_area
 
 
 def post_collision_map(v, v_star, sigma, r):
@@ -115,7 +115,7 @@ def q_boltzmann_sigma(f, v, k, q):
     d = k.dim
     v = np.asarray(v, dtype=float)
     pts, r, wr, omega, w_om = polar_nodes(v, d, q)
-    sigma, w_sg = sphere_rule(d, q.angular_nodes, 2 * q.angular_nodes)
+    sigma, w_sg = omega, w_om  # the same sphere rule serves both angles
     f_v = float(f(v))
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -sigma @ omega.T                      # (Nsig, Nom)

@@ -53,29 +53,16 @@ class VelocityField:
             raise EvaluationError(f"non-finite field value at v = {bad.tolist()}")
         return vals
 
-    def gradient(self, v, step=1e-6):
-        """Gradient at a single point; analytic if available, else central differences."""
-        v = np.asarray(v, dtype=float)
-        if self.grad_eval is not None:
-            return np.asarray(self.grad_eval(v), dtype=float)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = step
-            g[i] = (self(v + e) - self(v - e)) / (2.0 * step)
-        return g
-
-    def hessian(self, v, step=None, rel_tol=1e-6):
+    def hessian(self, v, rel_tol=1e-6):
         """Hessian at a single point; central differences unless ``hess_eval`` is set.
 
-        The default step ``rel_tol**(1/3) * <v>`` balances truncation against
+        The step ``rel_tol**(1/3) * <v>`` balances truncation against
         roundoff for a second difference.
         """
         v = np.asarray(v, dtype=float)
         if self.hess_eval is not None:
             return np.asarray(self.hess_eval(v), dtype=float)
-        if step is None:
-            step = rel_tol ** (1.0 / 3.0) * bracket(v)
+        step = rel_tol ** (1.0 / 3.0) * bracket(v)
         d = self.dim
         H = np.empty((d, d))
         f0 = self(v)
@@ -94,12 +81,12 @@ class VelocityField:
                 ) / (4.0 * step**2)
         return H
 
-    def validate(self, radius=8.0, n_samples=512, seed=12345):
-        """Spot-check nonnegativity, the declared decay bound, and the void radius."""
+    def validate(self):
+        """Spot-check sign, decay bound and void radius at 512 seeded points in |v| <= 8."""
         from .util import splitmix64
 
-        u = splitmix64(seed, n_samples * (self.dim + 1)).reshape(n_samples, -1)
-        r = radius * u[:, 0]
+        u = splitmix64(12345, 512 * (self.dim + 1)).reshape(512, -1)
+        r = 8.0 * u[:, 0]
         dirs = u[:, 1:] * 2.0 - 1.0
         norms = np.linalg.norm(dirs, axis=-1)
         norms[norms < 1e-12] = 1.0
@@ -295,15 +282,15 @@ class Barrier:
             2.0 * (c1 + 2.0 * c2 * s) * np.eye(d) + 4.0 * c2 * np.outer(v, v)
         )
 
-    def as_field(self, decay_margin=1.05, dim=3):
-        """View the barrier as a ``dim``-dimensional VelocityField (used in contact sweeps)."""
+    def as_field(self, dim=3):
+        """The barrier as a ``dim``-dimensional VelocityField, amplitude 5% above its bound."""
         return VelocityField(
             dim=dim,
             eval=lambda v: self.value(v),
             grad_eval=self.gradient,
             hess_eval=self.hessian,
             decay_exponent=self.m,
-            amplitude=decay_margin * self.alpha * max(1.0, 2.0**self.m)
+            amplitude=1.05 * self.alpha * max(1.0, 2.0**self.m)
             * (1.25) ** (self.m / 2.0),
         )
 
@@ -311,21 +298,24 @@ class Barrier:
 def make_barrier(m, alpha):
     """Construct the barrier for exponent ``m`` and amplitude ``alpha``.
 
-    Raises ValueError for non-positive arguments and RuntimeError if the
+    Raises ValueError for non-finite or non-positive arguments and for an m
+    so large that the inner coefficients overflow, and RuntimeError if the
     constructed inner profile fails monotonicity or dominance (which would
     indicate a bug, not a user error: the Taylor gluing satisfies both for
     every m > 0, and the check keeps that claim honest).
     """
-    if m <= 0 or alpha <= 0:
-        raise ValueError("make_barrier requires m > 0 and alpha > 0")
-    s0 = 0.25
-    g = s0 ** (-m / 2.0)
-    g1 = -(m / 2.0) * s0 ** (-m / 2.0 - 1.0)
-    g2 = (m / 2.0) * (m / 2.0 + 1.0) * s0 ** (-m / 2.0 - 2.0)
-    c2 = 0.5 * g2
-    c1 = g1 - g2 * s0
-    c0 = g - g1 * s0 + 0.5 * g2 * s0 * s0
-    barrier = Barrier(m=float(m), alpha=float(alpha), inner_coeffs=(c0, c1, c2))
+    if not (np.isfinite(m) and np.isfinite(alpha) and m > 0 and alpha > 0):
+        raise ValueError(f"make_barrier requires finite m > 0 and alpha > 0, "
+                         f"got m = {m}, alpha = {alpha}")
+    s0 = np.float64(0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s0 ** (-m / 2.0)
+        g1 = -(m / 2.0) * s0 ** (-m / 2.0 - 1.0)
+        g2 = (m / 2.0) * (m / 2.0 + 1.0) * s0 ** (-m / 2.0 - 2.0)
+        coeffs = (g - g1 * s0 + 0.5 * g2 * s0 * s0, g1 - g2 * s0, 0.5 * g2)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"m = {m} is too large: the barrier's inner coefficients overflow")
+    barrier = Barrier(m=float(m), alpha=float(alpha), inner_coeffs=tuple(map(float, coeffs)))
 
     r = np.linspace(1e-6, 0.5, 2001)
     prof = barrier._b1_radial(r) / alpha

@@ -91,16 +91,16 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
     )
 
 
-def shell_field(m, delta, dim=3, taper=0.02):
+def shell_field(m, delta, dim=3):
     """Smoothed |v|^{-m} cut off to zero inside |v| < delta.
 
     The crude-bound hypotheses in one constructor: f <= |v|^{-m} everywhere,
     f == 0 on B_delta, f(e) = 1 for any unit vector e outside the taper zone.
-    The taper is a smoothstep over [delta, delta*(1+taper_width)].
+    The taper is a smoothstep over [delta, 1.02 delta].
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("shell_field requires 0 < delta < 1")
-    lo, hi = delta, delta * (1.0 + max(taper, 1e-6))
+    lo, hi = delta, delta * 1.02
 
     def ev(v):
         rr = np.linalg.norm(np.asarray(v, dtype=float), axis=-1)
@@ -117,13 +117,14 @@ def shell_field(m, delta, dim=3, taper=0.02):
     )
 
 
-def bump_suite(n, seed=2024, dim=3):
+def bump_suite(n, dim=3):
     """Deterministic family of n bump fields for sweep experiments.
 
-    Centers, radii, and amplitudes derive from a single 64-bit seed through
-    the splitmix generator, so the family is identical across platforms.
+    Centers, radii, and amplitudes derive from the fixed 64-bit seed 2024
+    through the splitmix generator, so the family is identical across
+    platforms.
     """
-    u = splitmix64(seed, n * (dim + 2)).reshape(n, dim + 2)
+    u = splitmix64(2024, n * (dim + 2)).reshape(n, dim + 2)
     out = []
     for row in u:
         center = 1.5 * (row[:dim] * 2.0 - 1.0)

@@ -16,17 +16,14 @@ from importlib import resources
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .exceptions import ColdGasError
 from .fields import gaussian_field
 from .util import gauss_panel
 
 # Envelope on the similarity exponent lambda from entropy decay plus
-# mass/energy conservation; the alternative comes from compensated
-# integrability and is weaker.
+# mass/energy conservation.
 LAMBDA_ENVELOPE = 8.0 / 5.0
-LAMBDA_ENVELOPE_COMPENSATED = 9.0 / 5.0
 
 VACUUM_DENSITY = 1e-14
 
@@ -182,7 +179,10 @@ def maxwellian_weighted_norm(state, gamma):
 
     The sup reduces to a 1-D maximization along the axis through u (the
     Maxwellian is radial about u and the weight radial about 0, so the
-    maximizer lies on that axis).  Returns (norm, bound) with
+    maximizer lies on that axis).  With t the signed coordinate on that axis,
+    the stationary points of (1+t^2)^{(3+gamma)/2} exp(-(t-|u|)^2/(2 theta))
+    are the real roots of t^3 - |u| t^2 + (1 - (3+gamma) theta) t - |u|, so
+    the sup is the largest value at those roots.  Returns (norm, bound) with
     bound = prefactor * (1 + theta^{(3+gamma)/2} + |u|^{3+gamma}).
     """
     if state.theta <= 0:
@@ -193,17 +193,10 @@ def maxwellian_weighted_norm(state, gamma):
     pref = state.rho * (2.0 * np.pi * state.theta) ** -1.5
     umag = float(np.linalg.norm(state.u))
 
-    def neg(t):
-        # signed coordinate along the u-axis
-        return -((1.0 + t * t) ** (mw / 2.0) * np.exp(-((t - umag) ** 2) / (2.0 * state.theta)))
-
-    span = umag + 10.0 * math.sqrt(state.theta) + mw + 1.0
-    ts = np.linspace(-span, span, 4001)
-    i0 = int(np.argmin([neg(t) for t in ts]))
-    lo, hi = ts[max(i0 - 1, 0)], ts[min(i0 + 1, len(ts) - 1)]
-    res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    norm = pref * (-min(res.fun, neg(ts[i0])))
+    # complex roots come in pairs; their real parts are harmless extra candidates
+    t = np.roots([1.0, -umag, 1.0 - mw * state.theta, -umag]).real
+    peak = (1.0 + t * t) ** (mw / 2.0) * np.exp(-((t - umag) ** 2) / (2.0 * state.theta))
+    norm = pref * np.max(peak)
     bound = pref * (1.0 + state.theta ** (mw / 2.0) + umag**mw)
     return float(norm), float(bound)
 
@@ -269,14 +262,14 @@ def admissible_exponent_check(kappa, lam):
     )
 
 
-def admissible_lambda_envelope(n=100001):
+def admissible_lambda_envelope():
     """Supremum of admissible lambda with kappa eliminated.
 
     Eliminating kappa between kappa = -3(lambda-1) and lambda = (5+kappa)/2
     gives lambda < 8/5; computed here by a dense sweep so the constant is
     checked rather than hard-coded.
     """
-    lams = np.linspace(1.0 + 1e-9, 2.5, n)
+    lams = np.linspace(1.0 + 1e-9, 2.5, 100001)
     # for each lambda, the largest allowed kappa is -3(lambda-1); admissible
     # iff lambda < (5 + kappa)/2 at that kappa.
     kap = -3.0 * (lams - 1.0)

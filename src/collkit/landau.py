@@ -30,7 +30,6 @@ class LandauCoefficients:
 
     a_bar: np.ndarray
     c_bar: float
-    at_point: np.ndarray
     truncation_error: float
 
 
@@ -77,8 +76,8 @@ def landau_coefficients(f, v, k, q):
     # Pi(v - w) = Pi(-r sigma) = Id - sigma sigma^T
     proj = np.eye(d)[None, :, :] - sigma[:, :, None] * sigma[:, None, :]
     radial_a = wr * r ** (2.0 + k.gamma)
+    # exactly symmetric: proj is, and every entry sums in the same order
     a_bar = np.einsum("i,j,ij,jkl->kl", radial_a, ws, vals, proj)
-    a_bar = 0.5 * (a_bar + a_bar.T)
 
     if k.gamma == -d:
         if d == 2:
@@ -100,9 +99,7 @@ def landau_coefficients(f, v, k, q):
         )
 
     trunc = f.amplitude * q.outer_radius ** (d - f.decay_exponent + 2.0 + k.gamma)
-    return LandauCoefficients(
-        a_bar=a_bar, c_bar=c_bar, at_point=v, truncation_error=float(trunc)
-    )
+    return LandauCoefficients(a_bar=a_bar, c_bar=c_bar, truncation_error=float(trunc))
 
 
 def q_landau(f, v, k, q):

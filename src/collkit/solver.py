@@ -317,7 +317,7 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
 # A priori bound checks
 
 
-def gronwall_check(log, C, m=None):
+def gronwall_check(log, C):
     """Exponential a priori bound along a run log.
 
     Checks norm_m(t) <= norm_m(0) * exp(C * int_0^t norm_dpg ds) at every
@@ -370,8 +370,8 @@ def riccati_check(log, C, T, rel_tol=1e-9):
     }
 
 
-def make_gaussian_grid(n, V, rho=1.0, u=(0.0, 0.0, 0.0), theta=1.0):
-    """Sampled Gaussian initial data on the solver grid.
+def make_gaussian_grid(n, V, rho=1.0, theta=1.0):
+    """Sampled centred Gaussian initial data on the solver grid.
 
     theta may be a scalar or a 3-vector of per-axis temperatures; the
     anisotropic case gives a non-equilibrium state that relaxes toward the
@@ -379,10 +379,8 @@ def make_gaussian_grid(n, V, rho=1.0, u=(0.0, 0.0, 0.0), theta=1.0):
     """
     ax = np.linspace(-V, V, n)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    u = np.asarray(u, dtype=float)
     th = np.broadcast_to(np.asarray(theta, dtype=float), (3,))
-    expo = ((X - u[0]) ** 2 / th[0] + (Y - u[1]) ** 2 / th[1]
-            + (Z - u[2]) ** 2 / th[2])
+    expo = X**2 / th[0] + Y**2 / th[1] + Z**2 / th[2]
     vals = rho * ((2.0 * np.pi) ** 3 * np.prod(th)) ** -0.5 * np.exp(-0.5 * expo)
     gf = GridField(n=n, V=V, values=vals)
     gf.check_validity()  # box must be large enough for the declared temperature

@@ -22,6 +22,11 @@ Contents:
   never formed and |z|^{-m} = exp(-m log|z|) keeps full precision near
   z = e;
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
+
+Search resolutions are fixed, and each report records the ones it used.
+Landau delta: sup of G on a 96 x 96 polar grid, stop at hi/lo <= 1 + 1e-3.
+Boltzmann m0: probes double up to m = 200, stop at hi - lo <= 1e-4 max(1, lo).
+Boltzmann delta: worst of 64 angles in [0, pi], stop at hi - lo <= 1e-3 hi.
 """
 
 import json
@@ -32,9 +37,12 @@ import numpy as np
 
 from .boltzmann import q_boltzmann_carleman
 from .core import _norm_sample_points
-from .exceptions import ConfigurationError, InfeasibleError, UnsupportedParameterError
+from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
 from .util import bracket, geometric_panels, graded_panels, orthonormal_complement
+
+_GRID_N = 96         # Landau integrand sup: radius and angle nodes
+_M0_CEILING = 200.0  # largest m the m0 search probes
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def landau_integrand_g(w, m, d, gamma):
     return m * z2 * ((m + 2.0) * pi_ee - (d - 1.0)) + (d - 1.0) * (d + gamma)
 
 
-def landau_integrand_sup(m, d, gamma, delta, grid_n=96):
+def landau_integrand_sup(m, d, gamma, delta):
     """Sup of G over the ball |w| <= delta, on a polar (radius, angle) grid.
 
     By rotational symmetry about e the domain is two-dimensional.
@@ -174,15 +182,15 @@ def landau_integrand_sup(m, d, gamma, delta, grid_n=96):
         raise ValueError("delta must lie in (0, 1)")
     if m <= 0:
         raise ValueError("m must be positive")
-    rho = np.linspace(0.0, delta, grid_n)
-    psi = np.linspace(0.0, np.pi, grid_n)
-    w = np.zeros((grid_n, grid_n, d))
+    rho = np.linspace(0.0, delta, _GRID_N)
+    psi = np.linspace(0.0, np.pi, _GRID_N)
+    w = np.zeros((_GRID_N, _GRID_N, d))
     w[..., 0] = rho[:, None] * np.cos(psi)[None, :]
     w[..., 1] = rho[:, None] * np.sin(psi)[None, :]
     return float(np.max(landau_integrand_g(w, m, d, gamma)))
 
 
-def landau_delta_search(m, d, gamma, rel_tol=1e-3, grid_n=96):
+def landau_delta_search(m, d, gamma):
     """Largest delta with sup_{B_delta} G <= 0, by log-scale bracket + bisection.
 
     Requires m > d + gamma; at m = d + gamma the value at w = 0 is already 0
@@ -202,10 +210,10 @@ def landau_delta_search(m, d, gamma, rel_tol=1e-3, grid_n=96):
     # bracket on a log scale: near the feasibility boundary the window
     # shrinks like (m - d - gamma), so start from far below machine-threshold
     lo, hi, sup = _sign_search(
-        lambda delta: landau_integrand_sup(m, d, gamma, delta, grid_n),
+        lambda delta: landau_integrand_sup(m, d, gamma, delta),
         [min(10.0**e, 0.999) for e in np.append(np.arange(-14.0, 0.0, 0.5), 0.0)],
         mid=lambda lo, hi: float(np.sqrt(lo * hi)),
-        converged=lambda lo, hi: hi / lo <= 1.0 + rel_tol,
+        converged=lambda lo, hi: hi / lo <= 1.0 + 1e-3,
         ok=lambda s: s <= 0.0,
     )
     if lo is None:
@@ -213,7 +221,7 @@ def landau_delta_search(m, d, gamma, rel_tol=1e-3, grid_n=96):
     # hi is None: negative all the way up to the domain edge
     points = [lo] if hi is None else [lo, min(1.05 * lo, 0.999)]
     return ThresholdReport("delta", lo, [{"delta": x, "sup": sup(x)} for x in points],
-                           {"grid_n": grid_n, "d": d, "gamma": gamma, "m": m})
+                           {"grid_n": _GRID_N, "d": d, "gamma": gamma, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -284,48 +292,50 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     log_z *= gain
     term += log_z
     out = np.sum(term, axis=(1, 2)) * (2.0 * np.pi / n_phi)
+    if not np.all(np.isfinite(out)):
+        # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77
+        raise EvaluationError(f"hyperplane integral is not finite at m = {m}, "
+                              f"gamma = {k.gamma}")
     return float(out[0]) if not batch else out.reshape(batch)
 
 
-def boltzmann_m0_search(k, q, ceiling=200.0, rel_tol=1e-4):
+def boltzmann_m0_search(k, q):
     """Smallest m at which the origin hyperplane integral turns negative.
 
     The integral is monotone decreasing in m (|z| >= 1 on the plane), so
     :func:`_sign_search` probes m = gamma + 2, then doubles from
-    max(2|gamma + 2|, 8) up to ``ceiling`` and bisects arithmetically; the
+    max(2|gamma + 2|, 8) up to m = 200 and bisects arithmetically; the
     certificate reuses its evaluations.  If no sign change occurs below the
     ceiling, an infeasible report is returned rather than a fake threshold.
     """
     if k.operator != "boltzmann":
         raise ValueError("boltzmann_m0_search requires a Boltzmann kernel")
-    if not np.isfinite(ceiling):
-        raise ValueError(f"the m ceiling must be finite, got {ceiling}")
     w0 = np.zeros(k.dim)
     m_min = k.gamma + 2.0  # below this the tail of the integral diverges
     probes = [m_min, max(2.0 * abs(m_min), 8.0)]
-    while 2.0 * probes[-1] <= ceiling:
+    while 2.0 * probes[-1] <= _M0_CEILING:
         probes.append(2.0 * probes[-1])
     lo, hi, val = _sign_search(
         lambda m: boltzmann_hyperplane_integral(m, w0, k, q), probes,
         mid=lambda lo, hi: 0.5 * (lo + hi),
-        converged=lambda lo, hi: hi - lo <= rel_tol * max(1.0, lo),
+        converged=lambda lo, hi: hi - lo <= 1e-4 * max(1.0, lo),
         ok=lambda v: v >= 0.0,
     )
     if lo is None:
         return ThresholdReport("m0", m_min, [{"m": m_min, "integral": val(m_min)}],
                                _grid_meta(q))
     if hi is None:
-        return ThresholdReport("m0", None, [{"m": ceiling, "integral": val(ceiling)}],
-                               _grid_meta(q), feasible=False)
+        cert = [{"m": _M0_CEILING, "integral": val(_M0_CEILING)}]
+        return ThresholdReport("m0", None, cert, _grid_meta(q), feasible=False)
     cert = [{"m": lo, "integral": val(lo)}, {"m": hi, "integral": val(hi)}]
     return ThresholdReport("m0", 0.5 * (lo + hi), cert, _grid_meta(q))
 
 
-def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
+def boltzmann_delta_search(m, k, q):
     """Largest |w| window on which the hyperplane integral stays nonpositive.
 
     Only the angle between w and e matters; each |w| is scored by the worst
-    of ``n_angles`` angles over [0, pi], scanned in one batched call.
+    of 64 angles over [0, pi], scanned in one batched call.
     :func:`_sign_search` probes 24 geometric |w| up to 0.499 and bisects
     arithmetically; the certificate reuses its scans.  Requires m above the
     kernel's m0 threshold.
@@ -337,8 +347,8 @@ def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
         raise InfeasibleError(
             f"m = {m} is not above the origin threshold m0 = {m0.value}"
         )
-    angles = np.linspace(0.0, np.pi, n_angles)
-    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros(n_angles)], axis=-1)
+    angles = np.linspace(0.0, np.pi, 64)
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
 
     def worst(a):
         vals = boltzmann_hyperplane_integral(m, a * directions, k, q)
@@ -348,7 +358,7 @@ def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
     lo, hi, scan = _sign_search(
         worst, np.geomspace(1e-4, 0.499, 24),
         mid=lambda lo, hi: 0.5 * (lo + hi),
-        converged=lambda lo, hi: hi - lo <= rel_tol * hi,
+        converged=lambda lo, hi: hi - lo <= 1e-3 * hi,
         ok=lambda vs: vs[0] <= 0.0,
     )
     if lo is None:
@@ -356,7 +366,7 @@ def boltzmann_delta_search(m, k, q, n_angles=64, rel_tol=1e-3):
     cert = [{"abs_w": a, "worst_angle": scan(a)[1], "integral": scan(a)[0]}
             for a in ([lo] if hi is None else [lo, hi])]
     return ThresholdReport("delta", lo, cert,
-                           {**_grid_meta(q), "n_angles": n_angles, "m": m})
+                           {**_grid_meta(q), "n_angles": len(angles), "m": m})
 
 
 def _grid_meta(q):

@@ -211,6 +211,16 @@ def test_unknown_key_rejected(tmp_path, capsys):
         "[run]\ncommand = m0-search\n\n[kernel]\ndim = 2\n",
         "[run]\ncommand = delta-search\n\n[kernel]\ndim = 2\n\n"
         "[delta-search]\ntarget = boltzmann\n",
+        # a hyperplane integral that overflows (gamma >~ 77) is not a threshold
+        "[run]\ncommand = m0-search\n\n[kernel]\ngamma = 100\n",
+        "[run]\ncommand = m0-search\n\n[kernel]\ngamma = 78\n",
+        "[run]\ncommand = delta-search\n\n[kernel]\ngamma = 100\n\n"
+        "[delta-search]\ntarget = boltzmann\nm = 120\n",
+        # a barrier needs finite m and alpha, and inner coefficients that fit
+        "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = nan\n",
+        "[run]\ncommand = barrier-check\n\n[barrier-check]\nalpha = inf\n",
+        "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = inf\n",
+        "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = 1100\n",
     ]
     for i, text in enumerate(bad_configs):
         code, out_dir = run_cli(tmp_path, text, out=f"out{i}")

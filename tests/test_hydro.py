@@ -20,7 +20,6 @@ from collkit import (
 )
 from collkit.hydro import (
     LAMBDA_ENVELOPE,
-    LAMBDA_ENVELOPE_COMPENSATED,
     _eval_lambda,
     admissible_lambda_envelope,
     critical_gamma,
@@ -107,7 +106,6 @@ def test_admissible_exponent_examples():
 
 def test_lambda_envelope():
     assert LAMBDA_ENVELOPE == pytest.approx(1.6, abs=1e-15)
-    assert LAMBDA_ENVELOPE_COMPENSATED == pytest.approx(1.8, abs=1e-15)
     swept = admissible_lambda_envelope()
     assert swept <= 1.6
     assert swept == pytest.approx(1.6, abs=1e-4)
@@ -214,6 +212,13 @@ def test_weighted_norm_scan_oracle():
     oracle = (2.0 * np.pi) ** -1.5 * np.max((1.0 + t * t) * np.exp(-t * t / 2.0))
     assert norm == pytest.approx(oracle, rel=1e-9)
     assert norm <= bound
+    # a moving, cold state: the peak is narrow and off the origin
+    state = EulerState(rho=1.0, u=(0.6, -0.8, 0.0), theta=0.05)
+    norm, _ = maxwellian_weighted_norm(state, 1.0)
+    t = np.linspace(-1.0, 3.0, 2000001)
+    oracle = (0.1 * np.pi) ** -1.5 * np.max((1.0 + t * t) ** 2 * np.exp(-(t - 1.0) ** 2 / 0.1))
+    assert norm == pytest.approx(oracle, rel=1e-9)
+    assert oracle <= norm * (1.0 + 1e-15)
 
 
 def test_weighted_norm_monotone_in_u():

@@ -1,8 +1,11 @@
-"""Static check that no collkit module carries an unused top-level import.
+"""Static checks that no collkit module carries surface nothing reads.
 
 A name bound by a module-level ``import`` or ``from ... import`` must be read
 somewhere in that module.  ``__init__.py`` is exempt: its imports are the
 package's re-exported surface.
+
+A public function or method (no leading underscore) must read every parameter
+it takes; a parameter no body reads is an option that does nothing.
 """
 
 import ast
@@ -35,3 +38,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# (module, function, parameter) -> why it stays unread
+UNREAD_ALLOWED = {
+    ("solver.py", "homog_run", "q"): "the benchmark's homog workload passes it positionally",
+}
+
+
+def unread_parameters(source):
+    tree = ast.parse(source)
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef) and not c.name.startswith("_")]
+    funcs += [m for c in classes for m in c.body if isinstance(m, ast.FunctionDef)]
+    unread = []
+    for fn in funcs:
+        if fn.name.startswith("_"):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(fn.name, p) for p in params if p not in read]
+    return unread
+
+
+def test_checker_flags_an_unread_parameter():
+    src = ("def f(a, b=1, *, c):\n    return a + c\n"
+           "def _private(x):\n    pass\n"
+           "class K:\n    def m(self, y):\n        return self\n")
+    assert unread_parameters(src) == [("f", "b"), ("m", "y")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_read_every_parameter(path):
+    unread = [(path.name, fn, p) for fn, p in unread_parameters(path.read_text())]
+    assert [u for u in unread if u not in UNREAD_ALLOWED] == []

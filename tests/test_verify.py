@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from collkit import (
     ConfigurationError,
     ContactConfiguration,
+    EvaluationError,
     InfeasibleError,
     KernelSpec,
     ThresholdReport,
@@ -167,8 +168,18 @@ def test_m0_monotone_in_gamma(q_default):
     assert vals[0] < vals[1]
 
 
+def test_m0_search_rejects_overflowing_integral(q_default):
+    # the tail factor r^{2-d+gamma} overflows at rho = 1e4 for gamma >~ 77
+    k = KernelSpec(dim=3, gamma=100.0, operator="boltzmann", b=b_ones)
+    with pytest.raises(EvaluationError, match="m = 102.0, gamma = 100.0"):
+        boltzmann_m0_search(k, q_default)
+    k = KernelSpec(dim=3, gamma=76.0, operator="boltzmann", b=b_ones)
+    rep = boltzmann_m0_search(k, q_default)
+    assert rep.feasible and abs(rep.value - 81.0) <= 1e-4 * rep.value
+
+
 def test_boltzmann_delta_search(q_fast, kernel_boltzmann_g0):
-    rep = boltzmann_delta_search(8.0, kernel_boltzmann_g0, q_fast, n_angles=16)
+    rep = boltzmann_delta_search(8.0, kernel_boltzmann_g0, q_fast)
     assert rep.feasible and 0.0 < rep.value < 0.5
     assert rep.certificate[0]["integral"] <= 0.0
 

@@ -8,6 +8,7 @@ from .core import (
     KernelSpec,
     QuadratureScheme,
     VelocityField,
+    cb_constant,
     make_barrier,
     weighted_sup_norm,
 )
@@ -24,13 +25,7 @@ from .exceptions import (
 )
 from .fields import bump_field, bump_suite, gaussian_field, shell_field
 from .landau import LandauCoefficients, landau_coefficients, q_landau
-from .boltzmann import (
-    cb_constant,
-    kernel_integrability_check,
-    post_collision_map,
-    q_boltzmann_carleman,
-    q_boltzmann_sigma,
-)
+from .boltzmann import post_collision_map, q_boltzmann_carleman, q_boltzmann_sigma
 from .verify import (
     ContactConfiguration,
     ThresholdReport,

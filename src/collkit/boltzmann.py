@@ -21,17 +21,15 @@ gamma >= -1.  Then
 with Q_s evaluated in Carleman coordinates (outer point v'_* = v + u*eta,
 inner point v' on the plane through v orthogonal to eta, restricted to
 |v'-v| <= u, kernel B2 = 2^{d-1} r^{2-d+gamma} b_folded(rho/r) / u where
-r^2 = rho^2 + u^2) and C_b computed once per kernel by the cancellation
-integral in :func:`cb_constant`.
+r^2 = rho^2 + u^2) and C_b = ``KernelSpec.cb``, computed once per kernel
+by the cancellation integral in :func:`collkit.core.cb_constant`.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import _grazing_probe
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_nodes, singular_convolution
-from .util import graded_panels, orthonormal_complement, sphere_area
+from .util import circle_rule, graded_panels, orthonormal_complement
 
 
 def post_collision_map(v, v_star, sigma, r):
@@ -49,54 +47,6 @@ def post_collision_map(v, v_star, sigma, r):
     mid = 0.5 * (np.asarray(v, dtype=float) + v_star)
     half = 0.5 * np.asarray(r, dtype=float)[..., None] * sigma
     return mid + half, mid - half
-
-
-# ---------------------------------------------------------------------------
-# Kernel constants
-
-
-def kernel_integrability_check(k):
-    """Finite value of the reduced Carleman-kernel integrability integral.
-
-    By the rotational symmetry of the hyperplane, the condition collapses to
-
-        |S^{d-2}| 2^{d-1} int_0^1 x^d (1+x^2)^{-(d+1)/2} b(x/sqrt(1+x^2)) dx,
-
-    which is finite exactly when b's grazing singularity is milder than the
-    s = 1 endpoint.  Divergent kernels raise KernelRejectionError from
-    :func:`collkit.core._grazing_probe`, which measures the integrand's local
-    power near 0 first so that divergence is detected rather than returned
-    as a large number.
-    """
-    d = k.dim
-
-    def g(x):
-        return x**d * (1.0 + x * x) ** (-(d + 1) / 2.0) * k.b(x / np.sqrt(1.0 + x * x))
-
-    val, _ = _grazing_probe(g, 1.0)
-    return float(sphere_area(d - 1) * 2.0 ** (d - 1) * val)
-
-
-def cb_constant(k):
-    """Prefactor C_b of the nonsingular term Q_ns = C_b f (f * |.|^gamma).
-
-    Obtained from the exact angular cancellation identity
-
-        int_{theta<=pi/2} b_folded(sin(theta/2)) [f(v'_*) - f(v_*)] B dsigma dv_*
-            = C_b (f * |.|^gamma)(v),
-
-    whose right-hand constant reduces to the 1-D integral below.  Finite even
-    for non-cutoff kernels because the bracket vanishes quadratically at
-    theta = 0.
-    """
-    d, g = k.dim, k.gamma
-
-    def integrand(theta):
-        beff = k.b_folded(np.sin(theta / 2.0))
-        return np.sin(theta) ** (d - 2) * beff * (np.cos(theta / 2.0) ** (-(d + g)) - 1.0)
-
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, limit=200, points=[1e-4, 1e-2])
-    return float(sphere_area(d - 1) * val)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +108,7 @@ def _carleman_qs(f, v, k, q):
     # fixed unit inner radial grid; per-outer-node scaling rho = u * x makes
     # the angular restriction rho <= u exact
     x, wx = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
-    n_phi = 2 * q.angular_nodes
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    w_phi = 2.0 * np.pi / n_phi
+    phi, w_phi = circle_rule(2 * q.angular_nodes)
     dirs = (np.cos(phi)[None, :, None] * e1[:, None, :]
             + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Neta, Nphi, 3)
 

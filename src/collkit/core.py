@@ -1,6 +1,8 @@
 """Domain types shared by every operator module.
 
 Velocity fields are black-box evaluators with declared polynomial decay.
+Kernel constants derived from the angular cross-section b (the cutoff flag
+and the Carleman prefactor C_b) are computed here, beside :class:`KernelSpec`.
 The comparison barrier equals ``alpha * |v|**-m`` outside the half ball and
 is glued with a C^2 radial polynomial inside.  The weight bracket is always
 ``<v> = sqrt(1 + |v|^2)``; no alternative weight family is configurable.
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .exceptions import EvaluationError, KernelRejectionError, UnsupportedParameterError
-from .util import bracket, sphere_rule
+from .util import bracket, sphere_area, sphere_rule, splitmix64
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,6 @@ class VelocityField:
 
     def validate(self):
         """Spot-check sign, decay bound and void radius at 512 seeded points in |v| <= 8."""
-        from .util import splitmix64
-
         u = splitmix64(12345, 512 * (self.dim + 1)).reshape(512, -1)
         r = 8.0 * u[:, 0]
         dirs = u[:, 1:] * 2.0 - 1.0
@@ -137,12 +137,13 @@ class QuadratureScheme:
 
 
 def _grazing_probe(integrand, upper):
-    """(integral over [0, upper], local power p at 0) of a weight times b.
+    """Local power p at 0 of a weight times b, after checking its integral on [0, upper].
 
     The integrand must be nonnegative, like b.  p is measured at two probe
     points before any quadrature, so that p <= -1 (divergence) is rejected
     rather than returned as a large number; an integrand that vanishes at
-    both probe points has no grazing singularity (p = inf).
+    both probe points has no grazing singularity (p = inf).  The quadrature
+    then rejects what the probe points miss, such as a NaN b.
     """
     t1, t2 = 1e-6, 1e-5
     y1, y2 = integrand(t1), integrand(t2)
@@ -157,7 +158,29 @@ def _grazing_probe(integrand, upper):
     val, _ = quad(integrand, 0.0, upper, limit=200, points=[1e-4, 1e-2])
     if not np.isfinite(val):
         raise KernelRejectionError("angular integrability integral is not finite")
-    return val, p
+    return p
+
+
+def cb_constant(k):
+    """Prefactor C_b of the nonsingular Carleman term Q_ns = C_b f (f * |.|^gamma).
+
+    Obtained from the exact angular cancellation identity
+
+        int_{theta<=pi/2} b_folded(sin(theta/2)) [f(v'_*) - f(v_*)] B dsigma dv_*
+            = C_b (f * |.|^gamma)(v),
+
+    whose right-hand constant reduces to the 1-D integral below.  Finite even
+    for non-cutoff kernels because the bracket vanishes quadratically at
+    theta = 0.
+    """
+    d, g = k.dim, k.gamma
+
+    def integrand(theta):
+        beff = k.b_folded(np.sin(theta / 2.0))
+        return np.sin(theta) ** (d - 2) * beff * (np.cos(theta / 2.0) ** (-(d + g)) - 1.0)
+
+    val, _ = quad(integrand, 0.0, np.pi / 2.0, limit=200, points=[1e-4, 1e-2])
+    return float(sphere_area(d - 1) * val)
 
 
 @dataclass(frozen=True)
@@ -171,7 +194,7 @@ class KernelSpec:
     results are stored, not set.  ``is_cutoff`` says whether b itself is
     integrable on the sphere (the probed integrand's power exceeds 1);
     ``cb`` is the prefactor of the nonsingular Carleman term, computed from
-    the cancellation integral (see :func:`collkit.boltzmann.cb_constant`).
+    the cancellation integral (see :func:`cb_constant`).
     Cross-sections whose integrability integral diverges are rejected.
     """
 
@@ -210,10 +233,8 @@ class KernelSpec:
 
             # b alone weighs theta^(dim-2) b = integrand / s^2 on the sphere, so
             # b itself is integrable (a cutoff kernel) iff p > 1
-            _, p = _grazing_probe(integrand, np.pi)
+            p = _grazing_probe(integrand, np.pi)
             object.__setattr__(self, "is_cutoff", bool(p > 1.0 + 1e-6))
-            from .boltzmann import cb_constant
-
             object.__setattr__(self, "cb", cb_constant(self))
 
     def b_folded(self, x):

@@ -8,7 +8,7 @@ gradients where they are cheap to write down.
 import numpy as np
 
 from .core import VelocityField
-from .util import splitmix64
+from .util import splitmix64, weighted_gaussian_peak
 
 
 def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
@@ -29,12 +29,9 @@ def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
         dv = np.asarray(v, dtype=float) - u
         return ev(v) / theta * (np.outer(dv, dv) / theta - np.eye(dim))
 
-    # <v>^m * gaussian is maximized where m<v> e^{...} balances; a generous
-    # amplitude bound suffices for metadata purposes.
+    # declared bound: the exact sup of <v>^m times the Gaussian, plus 1%
     m_decl = 12.0
-    r = np.linspace(0.0, 40.0, 4001)
-    prof = norm * np.exp(-((r - np.linalg.norm(u)) ** 2) / (2.0 * theta))
-    amp = float(np.max(np.sqrt(1 + r * r) ** m_decl * prof)) * 1.01
+    amp = norm * weighted_gaussian_peak(m_decl, float(np.linalg.norm(u)), theta) * 1.01
     return VelocityField(
         dim=dim, eval=ev, grad_eval=gr, hess_eval=he,
         decay_exponent=m_decl, amplitude=amp,

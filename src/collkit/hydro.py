@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import ColdGasError
 from .fields import gaussian_field
-from .util import gauss_panel
+from .util import gauss_panel, weighted_gaussian_peak
 
 # Envelope on the similarity exponent lambda from entropy decay plus
 # mass/energy conservation.
@@ -175,29 +175,26 @@ def maxwellian_moments(f, q):
 
 
 def maxwellian_weighted_norm(state, gamma):
-    """Exact sup over v of <v>^{3+gamma} M(v), plus the three-term upper bound.
+    """Exact sup over v of <v>^{3+gamma} M(v), plus an analytic upper bound.
 
-    The sup reduces to a 1-D maximization along the axis through u (the
-    Maxwellian is radial about u and the weight radial about 0, so the
-    maximizer lies on that axis).  With t the signed coordinate on that axis,
-    the stationary points of (1+t^2)^{(3+gamma)/2} exp(-(t-|u|)^2/(2 theta))
-    are the real roots of t^3 - |u| t^2 + (1 - (3+gamma) theta) t - |u|, so
-    the sup is the largest value at those roots.  Returns (norm, bound) with
-    bound = prefactor * (1 + theta^{(3+gamma)/2} + |u|^{3+gamma}).
+    The maximizer lies on the axis through u, so the sup is
+    :func:`collkit.util.weighted_gaussian_peak`.  Returns (norm, bound) with
+    bound = prefactor * c_p * (1 + (4p/e)^p theta^p + 2^p |u|^{3+gamma}),
+    p = (3+gamma)/2 and c_p = max(1, 3^{p-1}), from <v>^2 <= 1 + 2|v-u|^2 +
+    2|u|^2, (a+b+c)^p <= c_p (a^p + b^p + c^p) and, with s = |v-u|,
+    sup_s s^{2p} exp(-s^2/(2 theta)) = (2p theta/e)^p.
     """
     if state.theta <= 0:
         raise ColdGasError("weighted norm undefined for cold-gas states")
     if not -3.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [-3, 1]")
     mw = 3.0 + gamma
+    p = mw / 2.0
     pref = state.rho * (2.0 * np.pi * state.theta) ** -1.5
     umag = float(np.linalg.norm(state.u))
-
-    # complex roots come in pairs; their real parts are harmless extra candidates
-    t = np.roots([1.0, -umag, 1.0 - mw * state.theta, -umag]).real
-    peak = (1.0 + t * t) ** (mw / 2.0) * np.exp(-((t - umag) ** 2) / (2.0 * state.theta))
-    norm = pref * np.max(peak)
-    bound = pref * (1.0 + state.theta ** (mw / 2.0) + umag**mw)
+    norm = pref * weighted_gaussian_peak(mw, umag, state.theta)
+    bound = pref * max(1.0, 3.0 ** (p - 1.0)) * (
+        1.0 + (4.0 * p / math.e) ** p * state.theta**p + 2.0**p * umag**mw)
     return float(norm), float(bound)
 
 

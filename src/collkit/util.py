@@ -83,36 +83,38 @@ def geometric_panels(a, b, n_panels, n_per_panel):
     return _composite_gauss(edges, n_per_panel)
 
 
+def circle_rule(n):
+    """Midpoint rule on the circle: ``n`` angles and their common weight 2 pi / n."""
+    return (np.arange(n) + 0.5) * 2.0 * np.pi / n, 2.0 * np.pi / n
+
+
 def sphere_rule(dim, n_polar, n_azim):
     """Product quadrature on the unit sphere S^{dim-1}.
 
-    For dim == 3: Gauss-Legendre in cos(theta) times a uniform (trapezoidal)
-    azimuth rule; exact for spherical harmonics up to high degree.
-    For dim == 2: uniform nodes on the circle.
+    For dim == 3: Gauss-Legendre in cos(theta) times the midpoint azimuth
+    rule :func:`circle_rule`; exact for spherical harmonics up to high degree.
+    For dim == 2: the circle rule alone.
 
     Returns (points, weights) with points of shape (N, dim) and
     sum(weights) == |S^{dim-1}|.
     """
+    if dim not in (2, 3):
+        raise ValueError(f"sphere_rule supports dim 2 or 3, got {dim}")
+    phi, w_phi = circle_rule(n_azim)
     if dim == 2:
-        ang = (np.arange(n_azim) + 0.5) * 2.0 * np.pi / n_azim
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        w = np.full(n_azim, 2.0 * np.pi / n_azim)
-        return pts, w
-    if dim == 3:
-        ct, wct = legendre_rule(n_polar)
-        phi = (np.arange(n_azim) + 0.5) * 2.0 * np.pi / n_azim
-        st = np.sqrt(1.0 - ct**2)
-        pts = np.stack(
-            [
-                st[:, None] * np.cos(phi)[None, :],
-                st[:, None] * np.sin(phi)[None, :],
-                np.broadcast_to(ct[:, None], (n_polar, n_azim)),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        w = (wct[:, None] * (2.0 * np.pi / n_azim) * np.ones(n_azim)).reshape(-1)
-        return pts, w
-    raise ValueError(f"sphere_rule supports dim 2 or 3, got {dim}")
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(n_azim, w_phi)
+    ct, wct = legendre_rule(n_polar)
+    st = np.sqrt(1.0 - ct**2)
+    pts = np.stack(
+        [
+            st[:, None] * np.cos(phi)[None, :],
+            st[:, None] * np.sin(phi)[None, :],
+            np.broadcast_to(ct[:, None], (n_polar, n_azim)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    w = (wct[:, None] * w_phi * np.ones(n_azim)).reshape(-1)
+    return pts, w
 
 
 def orthonormal_complement(normals):
@@ -138,6 +140,16 @@ def bracket(v):
     if v.ndim == 0:
         return float(np.sqrt(1.0 + v * v))
     return np.sqrt(1.0 + np.sum(v * v, axis=-1))
+
+
+def weighted_gaussian_peak(k, a, theta):
+    """Max over t of (1 + t^2)^{k/2} exp(-(t - a)^2 / (2 theta)): sup of <v>^k times a Gaussian.
+
+    Taken at the real roots of the stationarity cubic t^3 - a t^2 + (1 - k theta) t - a;
+    the real parts of complex roots are harmless extra candidates.
+    """
+    t = np.roots([1.0, -a, 1.0 - k * theta, -a]).real
+    return float(np.max((1.0 + t * t) ** (k / 2.0) * np.exp(-((t - a) ** 2) / (2.0 * theta))))
 
 
 def sphere_area(dim):

@@ -15,9 +15,10 @@ Contents:
   delta, with the exact boundary m > d + gamma;
 * the Boltzmann hyperplane integral (the inner integral the contact
   argument reduces to), the decay threshold m0 where it turns negative at
-  w = 0, and the delta window in |w|.  The integral takes a batch of w of
-  shape (..., 3) and returns one value per row, so the delta search scans
-  all its angles in one call.  On the plane z = e + rho*ehat it uses
+  w = 0, and the delta window in |w|, whose precondition m > m0 is the one
+  integral I(m, 0) < 0.  The integral takes a batch of w of shape (..., 3)
+  and returns one value per row, so the delta search scans all its angles
+  in one call.  On the plane z = e + rho*ehat it uses
   |z|^2 = 1 + rho*(2 e.ehat + rho), i.e. log|z| = log1p(...)/2, so |z| is
   never formed and |z|^{-m} = exp(-m log|z|) keeps full precision near
   z = e;
@@ -39,7 +40,7 @@ from .boltzmann import q_boltzmann_carleman
 from .core import _norm_sample_points
 from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
-from .util import bracket, geometric_panels, graded_panels, orthonormal_complement
+from .util import bracket, circle_rule, geometric_panels, graded_panels, orthonormal_complement
 
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
@@ -135,6 +136,13 @@ def _sign_search(fn, probes, mid, converged, ok):
 # Contact-point estimate
 
 
+def _q_point(f, v, k, q):
+    """Q(f,f)(v) by the kernel's operator: Landau, or Boltzmann in Carleman form."""
+    if k.operator == "landau":
+        return q_landau(f, v, k, q)
+    return q_boltzmann_carleman(f, v, k, q)
+
+
 def contact_estimate_check(cfg, k, q):
     """Q(f,f)(v0) and the bound unit b(v0)^2 <v0>^{d+gamma}.
 
@@ -143,10 +151,7 @@ def contact_estimate_check(cfg, k, q):
     estimate (whose analytic constant is non-explicit).
     """
     cfg.validate(q)
-    if k.operator == "landau":
-        lhs = q_landau(cfg.field, cfg.v0, k, q)
-    else:
-        lhs = q_boltzmann_carleman(cfg.field, cfg.v0, k, q)
+    lhs = _q_point(cfg.field, cfg.v0, k, q)
     b0 = float(cfg.barrier.value(cfg.v0))
     bound_unit = b0 * b0 * float(bracket(cfg.v0)) ** (k.dim + k.gamma)
     return lhs, bound_unit
@@ -270,8 +275,7 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     rho = np.concatenate([rho_h, rho_t])[:, None]                 # (Nr, 1)
     w_rho = np.concatenate([w_h, w_t])[:, None] * rho
 
-    n_phi = 2 * q.angular_nodes
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    phi, w_phi = circle_rule(2 * q.angular_nodes)
     e_ehat = (np.cos(phi) * e1[:, :1] + np.sin(phi) * e2[:, :1])[:, None, :]
 
     # phi-free factors, shape (B, Nr, 1)
@@ -291,7 +295,7 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     np.exp(log_z, out=log_z)
     log_z *= gain
     term += log_z
-    out = np.sum(term, axis=(1, 2)) * (2.0 * np.pi / n_phi)
+    out = np.sum(term, axis=(1, 2)) * w_phi
     if not np.all(np.isfinite(out)):
         # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77
         raise EvaluationError(f"hyperplane integral is not finite at m = {m}, "
@@ -337,16 +341,17 @@ def boltzmann_delta_search(m, k, q):
     Only the angle between w and e matters; each |w| is scored by the worst
     of 64 angles over [0, pi], scanned in one batched call.
     :func:`_sign_search` probes 24 geometric |w| up to 0.499 and bisects
-    arithmetically; the certificate reuses its scans.  Requires m above the
-    kernel's m0 threshold.
+    arithmetically; the certificate reuses its scans.  Requires m > m0,
+    which is I(m, 0) < 0 since the origin integral decreases in m.
     """
+    if k.operator != "boltzmann":
+        raise ValueError("boltzmann_delta_search requires a Boltzmann kernel")
     if not np.isfinite(m):
         raise ValueError(f"m must be finite, got {m}")
-    m0 = boltzmann_m0_search(k, q)
-    if not m0.feasible or m <= m0.value:
-        raise InfeasibleError(
-            f"m = {m} is not above the origin threshold m0 = {m0.value}"
-        )
+    origin = boltzmann_hyperplane_integral(m, np.zeros(k.dim), k, q)
+    if origin >= 0.0:
+        raise InfeasibleError(f"m = {m} is not above m0: origin integral I(m, 0) = "
+                              f"{origin:.6g} is not negative")
     angles = np.linspace(0.0, np.pi, 64)
     directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
 
@@ -404,6 +409,4 @@ def crude_bound_check(f, e, k, q):
         cap = rr[mask] ** (-m)
     if np.any(f(pts[mask]) > cap * (1.0 + 1e-9)):
         raise ConfigurationError("field exceeds |v|^{-m} at a sample node")
-    if k.operator == "landau":
-        return q_landau(f, e, k, q)
-    return q_boltzmann_carleman(f, e, k, q)
+    return _q_point(f, e, k, q)

@@ -31,32 +31,16 @@ from collkit import (
 )
 from collkit.fields import gaussian_field
 from collkit.hydro import LAMBDA_ENVELOPE, critical_gamma, load_catalog
-from collkit.landau import landau_coefficients, polar_nodes
+from collkit.landau import landau_coefficients
 from collkit.solver import homog_run, make_gaussian_grid
 from collkit.verify import landau_integrand_g
-from collkit.util import sphere_area
 
-from conftest import b_cos2, b_ones
+from conftest import b_cos2, b_ones, collision_frequency_scale
 
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def angular_mass(k):
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),
-                  0.0, math.pi)
-    return sphere_area(k.dim - 1) * val
-
-
-def frequency_scale(f, v, k, q):
-    """f(v) * (angular mass of b) * (f * |.|^gamma)(v), valid down to gamma = -d."""
-    pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
-    conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
-    return float(f(v)) * angular_mass(k) * conv
 
 
 TEN_POINTS = [
@@ -82,7 +66,7 @@ def test_criterion_1_maxwellian_annihilation():
             scale_l = (float(np.sum(np.abs(co.a_bar) * np.abs(M.hessian(v))))
                        + abs(co.c_bar) * float(M(v)))
             worst = max(worst, abs(q_landau(M, v, kl, q)) / scale_l)
-            scale_b = frequency_scale(M, v, kb, q)
+            scale_b = collision_frequency_scale(M, v, kb, q)
             worst = max(worst, abs(q_boltzmann_sigma(M, v, kb, q)) / scale_b)
     report(1, worst <= 1e-3, f"worst |Q|/scale = {worst:.2e}")
 
@@ -98,7 +82,7 @@ def test_criterion_2_representation_agreement():
             for f, v in zip(fields, points):
                 qs = q_boltzmann_sigma(f, v, k, q)
                 qc = q_boltzmann_carleman(f, v, k, q)
-                scale = abs(qs) + frequency_scale(f, v, k, q)
+                scale = abs(qs) + collision_frequency_scale(f, v, k, q)
                 worst = max(worst, abs(qs - qc) / scale)
     report(2, worst <= 1e-3, f"worst sigma/Carleman mismatch = {worst:.2e}")
 
@@ -242,6 +226,6 @@ def test_criterion_9_scaling_invariance():
         worst = max(worst, abs(lhs - rhs) / (abs(rhs) + 1e-30))
         lhs_b = q_boltzmann_carleman(f_lam, v, kb, qb)
         rhs_b = lam ** -3.0 * q_boltzmann_carleman(f, lam * v, kb, qb)
-        scale = abs(rhs_b) + frequency_scale(f_lam, v, kb, qb)
+        scale = abs(rhs_b) + collision_frequency_scale(f_lam, v, kb, qb)
         worst = max(worst, abs(lhs_b - rhs_b) / scale)
     report(9, worst <= 2e-4, f"worst scaling mismatch = {worst:.2e} (tol 2e-04)")

@@ -5,21 +5,18 @@ from hypothesis import strategies as st
 
 from collkit import (
     CapabilityError,
-    KernelRejectionError,
     KernelSpec,
     QuadratureScheme,
     UnsupportedParameterError,
     VelocityField,
     cb_constant,
-    kernel_integrability_check,
     post_collision_map,
     q_boltzmann_carleman,
     q_boltzmann_sigma,
 )
 from collkit.fields import bump_field, gaussian_field
-from collkit.landau import polar_nodes
 
-from conftest import b_cos2, b_ones
+from conftest import b_cos2, b_ones, collision_frequency_scale
 
 
 # ---------------------------------------------------------------------------
@@ -69,29 +66,6 @@ def test_collision_rejects_non_unit_sigma():
 # Kernel constants
 
 
-def test_kernel_integrability_constant_b():
-    # |S^1| * 4 * int_0^1 x^3 (1+x^2)^{-2} dx = 2 pi (2 ln 2 - 1)
-    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
-    expect = 2.0 * np.pi * (2.0 * np.log(2.0) - 1.0)
-    assert kernel_integrability_check(k) == pytest.approx(expect, rel=1e-10)
-
-
-def test_kernel_integrability_divergent():
-    k = KernelSpec(
-        dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
-    )
-    # s = 1/2 is fine for this reduced integral
-    assert np.isfinite(kernel_integrability_check(k))
-
-    class _Fake:
-        dim = 3
-        b = staticmethod(lambda x: np.asarray(x, dtype=float) ** -4.0)
-
-    with pytest.raises(KernelRejectionError):
-        kernel_integrability_check(_Fake())
-
-
 def test_cb_closed_forms():
     # cancellation constant for b == 1, d = 3:
     #   gamma = 1:  4 pi
@@ -120,20 +94,6 @@ def test_cb_linearity_in_b():
 
 # ---------------------------------------------------------------------------
 # Operator evaluations
-
-
-def collision_frequency_scale(f, v, k, q):
-    """f(v) * (total angular mass of b) * (f * |.|^gamma)(v), by the polar rule."""
-    pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
-    conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
-    from scipy.integrate import quad
-
-    ang, _ = quad(
-        lambda t: np.sin(t) ** (k.dim - 2) * k.b(np.sin(t / 2.0)), 0.0, np.pi
-    )
-    from collkit.util import sphere_area
-
-    return float(f(v)) * sphere_area(k.dim - 1) * ang * conv
 
 
 def test_maxwellian_annihilation_sigma(q_fast, maxwellian, kernel_boltzmann_g0):

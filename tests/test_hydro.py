@@ -221,6 +221,23 @@ def test_weighted_norm_scan_oracle():
     assert oracle <= norm * (1.0 + 1e-15)
 
 
+def test_weighted_norm_bound_holds():
+    # first a cold moving state, whose sup 25.10 exceeds the unscaled
+    # prefactor * (1 + theta^p + |u|^{3+gamma}) = 11.37
+    u = splitmix64(31, 4 * 500).reshape(500, 4)
+    states = [(EulerState(rho=1.0, u=(0.6, -0.8, 0.0), theta=0.05), 1.0)] + [
+        (EulerState(rho=1.0, u=tuple(4.0 * row[:3] - 2.0), theta=0.01 + 3.0 * row[3]),
+         -3.0 + 4.0 * row[0] * row[3])
+        for row in u
+    ]
+    for state, gamma in states:
+        norm, bound = maxwellian_weighted_norm(state, gamma)
+        assert norm <= bound, (state, gamma)
+    # at gamma = -3 the weight is 1 and the bound is 3 * prefactor
+    norm, bound = maxwellian_weighted_norm(EulerState(rho=1.0, u=(1.0, 0, 0), theta=0.5), -3.0)
+    assert bound == 3.0 * norm
+
+
 def test_weighted_norm_monotone_in_u():
     lo = maxwellian_weighted_norm(EulerState(rho=1.0, u=(0.5, 0, 0), theta=1.0), 0.0)[0]
     hi = maxwellian_weighted_norm(EulerState(rho=1.0, u=(1.0, 0, 0), theta=1.0), 0.0)[0]

@@ -6,6 +6,10 @@ package's re-exported surface.
 
 A public function or method (no leading underscore) must read every parameter
 it takes; a parameter no body reads is an option that does nothing.
+
+collkit modules import each other only at module top level, so the import
+graph is the one the module headers show; an import inside a function can
+hide a cycle.
 """
 
 import ast
@@ -38,6 +42,34 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(node):
+    """Absolute or relative module names an import statement reads."""
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return [alias.name for alias in node.names]
+
+
+def nested_package_imports(source):
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+            and any(name.startswith(".") or name.split(".")[0] == "collkit"
+                    for name in imported_modules(node))]
+
+
+def test_checker_flags_a_nested_package_import():
+    src = ("from . import util\nimport numpy\n"
+           "def f():\n    from .core import KernelSpec\n    import scipy\n"
+           "class C:\n    def g(self):\n        import collkit.util\n")
+    assert nested_package_imports(src) == [4, 8]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_package_imports_at_top_level_only(path):
+    assert nested_package_imports(path.read_text()) == []
 
 
 # (module, function, parameter) -> why it stays unread

@@ -5,6 +5,8 @@ from collkit import KernelSpec, QuadratureScheme, UnsupportedParameterError, q_l
 from collkit.fields import bump_field, gaussian_field
 from collkit.landau import landau_coefficients, polar_nodes, singular_convolution
 
+from conftest import landau_a_bar_g0
+
 
 @pytest.fixture(scope="module")
 def k_g0():
@@ -73,6 +75,20 @@ def test_coefficients_coulomb_reaction(q_fast, maxwellian, k_gm3):
     v = np.array([0.4, 0.0, 0.0])
     co = landau_coefficients(maxwellian, v, k_gm3, q_fast)
     assert co.c_bar == pytest.approx(8.0 * np.pi * float(maxwellian(v)), rel=1e-13)
+
+
+def test_coefficients_gaussian_closed_form(k_g0):
+    # moving Gaussian, gamma = 0: measured max relative a_bar error 1.9e-6,
+    # 7.2e-11 and 3.5e-12 (roundoff) at radial = angular nodes 8, 12 and 16
+    u, theta, rho = np.array([0.6, -0.8, 0.0]), 0.5, 1.3
+    f = gaussian_field(rho=rho, u=u, theta=theta)
+    for n, tol in ((8, 5e-6), (12, 3e-10), (16, 2e-11)):
+        q = QuadratureScheme(radial_nodes=n, angular_nodes=n)
+        for v in ([0.5, 0.4, -0.3], [1.5, 0.0, 0.7], [0.0, 0.0, 0.0]):
+            co = landau_coefficients(f, v, k_g0, q)
+            exact = landau_a_bar_g0(v, u, theta * np.eye(3), rho)
+            assert np.max(np.abs(co.a_bar - exact)) <= tol * np.max(np.abs(exact)), (n, v)
+            assert co.c_bar == pytest.approx(6.0 * rho, rel=tol)
 
 
 def test_coefficients_positive_semidefinite(q_fast, k_g0):

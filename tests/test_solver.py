@@ -15,6 +15,8 @@ from collkit import (
 )
 from collkit.solver import _CoefficientEngine, make_gaussian_grid
 
+from conftest import landau_a_bar_g0
+
 
 @pytest.fixture(scope="module")
 def k_coulomb():
@@ -231,6 +233,27 @@ def direct_coefficients(values, h, gamma):
     else:
         c = (2.0 * (3.0 + gamma) * h**3 * radial(gamma) @ f).reshape(values.shape)
     return a, c
+
+
+def test_coefficient_engine_gaussian_closed_form_order():
+    # anisotropic Gaussian, gamma = 0, V = 5, over |v| <= 2: measured max
+    # relative a_bar error 5.44e-4, 7.70e-5 and 1.88e-5 at n = 16, 24, 32
+    # (observed order 4.82 and 4.90, set by the cell-averaged origin term)
+    theta = np.diag([0.35, 0.5, 0.65])
+    comps = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+    errs = []
+    for n, tol in ((16, 1e-3), (24, 1.5e-4), (32, 4e-5)):
+        gf = make_gaussian_grid(n=n, V=5.0, theta=np.diag(theta))
+        a, c = _CoefficientEngine(n, gf.h, 0.0).coefficients(gf.values)
+        grid = np.stack(np.meshgrid(*(gf.axes(),) * 3, indexing="ij"), axis=-1)
+        inner = np.linalg.norm(grid, axis=-1) <= 2.0
+        exact = landau_a_bar_g0(grid[inner], np.zeros(3), theta, 1.0)
+        err = max(np.max(np.abs(a[key][inner] - exact[:, i, j])) for key, (i, j) in comps.items())
+        errs.append(err / np.max(np.abs(exact)))
+        assert errs[-1] <= tol, n
+        assert np.max(np.abs(c[inner] - 6.0)) <= 1e-6 * 6.0
+    orders = np.log(np.array(errs[:-1]) / errs[1:]) / np.log([24 / 16, 32 / 24])
+    assert np.all(orders >= 4.0), orders
 
 
 @pytest.mark.parametrize("n, fft_len", [(6, 11), (7, 14)])

@@ -78,6 +78,29 @@ def test_delta_search_infeasible():
         landau_delta_search(2.9, 3, 0.0)  # m < d + gamma
 
 
+def landau_delta_closed_form(m, d, gamma):
+    """Exact Landau window delta* for m > d + gamma.
+
+    sup_{|w| <= delta} G = m(m+3-d)(delta^2 - c) + (d-1)(d+gamma) when
+    c = (d-1)/(m+2) <= delta, else (d-1)(d+gamma) - m(d-1)(1-delta)^2.
+    """
+    c = (d - 1.0) / (m + 2.0)
+    delta = 1.0 - np.sqrt((d + gamma) / m)
+    if delta <= c:
+        return delta
+    return np.sqrt(c - (d - 1.0) * (d + gamma) / (m * (m + 3.0 - d)))
+
+
+@pytest.mark.parametrize("d, gamma", [(3, -3.0), (3, 0.0), (2, 1.0), (3, -2.0), (3, 1.0)])
+def test_delta_search_matches_closed_form(d, gamma):
+    # measured: at most 5.4e-4 relative, always from below
+    for excess in (1e-3, 0.5, 2.0, 7.0, 30.0, 300.0):
+        m = d + gamma + excess
+        exact = min(landau_delta_closed_form(m, d, gamma), 0.999)
+        got = landau_delta_search(m, d, gamma).value
+        assert abs(got - exact) <= 1e-3 * exact, (m, got, exact)
+
+
 def test_delta_search_window_shrinks_toward_boundary():
     d1 = landau_delta_search(3.5, 3, 0.0).value
     d2 = landau_delta_search(3.05, 3, 0.0).value
@@ -195,15 +218,23 @@ def test_searches_evaluate_no_point_twice(monkeypatch, q_default, kernel_boltzma
     monkeypatch.setattr(verify, "boltzmann_hyperplane_integral", counted)
     rep = boltzmann_delta_search(7.5, kernel_boltzmann_g0, q_default)
     assert rep.feasible and len(rep.certificate) == 2
-    # 32 batched angle scans and 16 origin integrals of the inner m0 search
+    # 32 batched angle scans and the one origin integral of the m > m0 check
     n_scalar = sum(len(w) == 3 * 8 for _, w in calls)
-    assert (len(calls) - n_scalar, n_scalar) == (32, 16)
+    assert (len(calls) - n_scalar, n_scalar) == (32, 1)
     assert len(set(calls)) == len(calls)
 
 
 def test_boltzmann_delta_search_below_threshold(q_fast, kernel_boltzmann_g0):
     with pytest.raises(InfeasibleError):
         boltzmann_delta_search(4.0, kernel_boltzmann_g0, q_fast)
+    # m0 = 5 for constant b at gamma = 0: just below it the origin integral is positive
+    with pytest.raises(InfeasibleError, match=r"origin integral I\(m, 0\) = 0\.0"):
+        boltzmann_delta_search(4.9, kernel_boltzmann_g0, q_fast)
+
+
+def test_boltzmann_delta_search_rejects_landau_kernel(q_fast):
+    with pytest.raises(ValueError, match="requires a Boltzmann kernel"):
+        boltzmann_delta_search(8.0, KernelSpec(dim=3, gamma=0.0, operator="landau"), q_fast)
 
 
 def test_threshold_report_schema():

@@ -23,6 +23,24 @@ inner point v' on the plane through v orthogonal to eta, restricted to
 |v'-v| <= u, kernel B2 = 2^{d-1} r^{2-d+gamma} b_folded(rho/r) / u where
 r^2 = rho^2 + u^2) and C_b = ``KernelSpec.cb``, computed once per kernel
 by the cancellation integral in :func:`collkit.core.cb_constant`.
+
+Both routes evaluate the field only where they read a value they do not
+already have, and only where it can change the sum:
+
+* sigma route: v'_*(sigma) = v'(-sigma), and the sphere rule is antipodal
+  bit for bit, so f(v'_*) is a fixed row permutation of f(v') and only v'
+  is evaluated (one field evaluation per radial node instead of two).
+* Carleman route: a plane whose outer value f(v + u*eta) is exactly 0 adds
+  0 * inner, so its inner points are neither built nor evaluated; a radial
+  node with no such plane left is skipped.  This keys on exact zeros the
+  route computes anyway (compactly supported fields), so results move at
+  most by summation order.  Scope of the finiteness check: ``VelocityField``
+  rejects a non-finite value only at points it is asked for, so inner
+  points on a zero-weight plane are no longer checked; every value that
+  enters the sum still is.
+
+Both routes reject a field or point whose dimension is not the kernel's
+before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).
 """
 
 import numpy as np
@@ -62,10 +80,15 @@ def q_boltzmann_sigma(f, v, k, q):
             "sigma-representation diverges for non-cutoff kernels; "
             "use q_boltzmann_carleman"
         )
-    d = k.dim
-    v = np.asarray(v, dtype=float)
-    pts, r, wr, omega, w_om = polar_nodes(v, d, q)
+    v = k.checked_point(f, v, "q_boltzmann_sigma")
+    pts, r, wr, omega, w_om = polar_nodes(v, k.dim, q)
     sigma, w_sg = omega, w_om  # the same sphere rule serves both angles
+    # the rule is antipodal bit for bit (util.sphere_rule): row antipode[s]
+    # is -sigma[s], found by reversing the polar index and shifting the
+    # azimuth by half a turn
+    n_azim = 2 * q.angular_nodes
+    rows = np.arange(len(sigma)).reshape(-1, n_azim)
+    antipode = np.roll(rows[::-1], n_azim // 2, axis=1).ravel()
     f_v = float(f(v))
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -sigma @ omega.T                      # (Nsig, Nom)
@@ -75,8 +98,10 @@ def q_boltzmann_sigma(f, v, k, q):
     for i in range(len(r)):
         vs = pts[i]                               # (Nom, d) = v + r_i omega
         f_vs = f(vs)
-        vp, vps = post_collision_map(v, vs[None], sigma[:, None], r[i])
-        vals = f(vp) * f(vps) - f_v * f_vs[None, :]
+        vp, _ = post_collision_map(v, vs[None], sigma[:, None], r[i])
+        f_vp = f(vp)                              # (Nsig, Nom)
+        # v'_*(sigma) = v'(-sigma) exactly, so f(v'_*) is a row permutation
+        vals = f_vp * f_vp[antipode] - f_v * f_vs[None, :]
         total += wr[i] * r[i] ** k.gamma * np.einsum(
             "s,so,so,o->", w_sg, b_vals, vals, w_om
         )
@@ -87,12 +112,10 @@ def q_boltzmann_sigma(f, v, k, q):
 # Carleman representation
 
 
-def _carleman_qs(f, v, k, q):
+def _carleman_qs(f, v, f_v, k, q):
     d = k.dim
     if d != 3:
         raise UnsupportedParameterError("Carleman evaluation is implemented for d = 3")
-    v = np.asarray(v, dtype=float)
-    f_v = float(f(v))
     use_taylor = not k.is_cutoff
     if use_taylor:
         if f.grad_eval is None:
@@ -117,11 +140,15 @@ def _carleman_qs(f, v, k, q):
         ui = u[i]
         vps = v + ui * eta                     # (Neta, 3)
         f_vps = f(vps)
+        # a plane whose outer value is exactly 0 adds 0 * inner: skip it
+        live = np.flatnonzero(f_vps)
+        if live.size == 0:
+            continue
         rho = ui * x
         w_rho = ui * wx
         rr = np.sqrt(rho * rho + ui * ui)
         b2 = 2.0 ** (d - 1) * rr ** (k.gamma + 2.0 - d) * k.b_folded(rho / rr) / ui
-        vp = v + rho[:, None, None, None] * dirs[None, :, :, :]  # (Nx, Neta, Nphi, 3)
+        vp = v + rho[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
         diff = f(vp) - f_v
         if use_taylor:
             lin = np.einsum("xnpc,c->xnp", vp - v, grad_v)
@@ -129,7 +156,7 @@ def _carleman_qs(f, v, k, q):
             diff = diff - np.where(taylor_zone[:, None, None], lin, 0.0)
         inner = np.einsum("x,xnp->n", w_rho * rho * b2, diff) * w_phi
         # wu already carries the radial measure u^{d-1}
-        total += wu[i] * float(np.dot(w_eta, f_vps * inner))
+        total += wu[i] * float(np.dot(w_eta[live], f_vps[live] * inner))
     return total
 
 
@@ -142,7 +169,8 @@ def q_boltzmann_carleman(f, v, k, q):
     """
     if k.operator != "boltzmann":
         raise ValueError("q_boltzmann_carleman requires a Boltzmann kernel")
-    v = np.asarray(v, dtype=float)
-    qs = _carleman_qs(f, v, k, q)
-    qns = k.cb * float(f(v)) * singular_convolution(f, v, k.gamma, q)
+    v = k.checked_point(f, v, "q_boltzmann_carleman")
+    f_v = float(f(v))
+    qs = _carleman_qs(f, v, f_v, k, q)
+    qns = k.cb * f_v * singular_convolution(f, v, k.gamma, q)
     return float(qs + qns)

@@ -247,6 +247,23 @@ class KernelSpec:
         x = np.asarray(x, dtype=float)
         return self.b(x) + self.b(np.sqrt(np.maximum(1.0 - x * x, 0.0)))
 
+    def checked_point(self, f, v, route):
+        """``v`` as a float array, once f and v are known to have this kernel's dimension.
+
+        A mismatch is rejected here, naming ``route``, instead of reaching
+        numpy as a broadcasting error deep inside the quadrature.
+        """
+        v = np.asarray(v, dtype=float)
+        if f.dim != self.dim:
+            raise ValueError(
+                f"{route}: field dimension {f.dim} does not match kernel dimension {self.dim}"
+            )
+        if v.shape != (self.dim,):
+            raise ValueError(
+                f"{route}: point v has shape {v.shape}, expected ({self.dim},)"
+            )
+        return v
+
 
 # ---------------------------------------------------------------------------
 # Barrier

@@ -49,10 +49,12 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
 
     def ev(v):
         dv = (v - c) / radius
-        s = np.sum(dv * dv, axis=-1)
+        # summed by component: as fast as einsum, and bit-identical to
+        # np.sum(dv * dv, axis=-1), whose strided reduction is the slow part
+        s = np.asarray(sum(dv[..., i] * dv[..., i] for i in range(dim)))
         inside = s < 1.0
-        si = np.where(inside, s, 0.0)
-        out = np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - si)), 0.0)
+        out = np.zeros(s.shape)
+        out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
         return out
 
     def gr(v):

@@ -67,9 +67,7 @@ def landau_coefficients(f, v, k, q):
     if k.operator != "landau":
         raise ValueError("landau_coefficients requires a Landau kernel")
     d = k.dim
-    if f.dim != d:
-        raise ValueError("field/kernel dimension mismatch")
-    v = np.asarray(v, dtype=float)
+    v = k.checked_point(f, v, "landau_coefficients")
 
     pts, r, wr, sigma, ws = polar_nodes(v, d, q)
     vals = f(pts)

@@ -95,20 +95,30 @@ def sphere_rule(dim, n_polar, n_azim):
     rule :func:`circle_rule`; exact for spherical harmonics up to high degree.
     For dim == 2: the circle rule alone.
 
-    Returns (points, weights) with points of shape (N, dim) and
-    sum(weights) == |S^{dim-1}|.
+    For even ``n_azim`` the rule is antipodal bit for bit: the second half of
+    the azimuths takes the negated cos/sin of the first half (phi + pi), and
+    the Gauss-Legendre rule is exactly symmetric, so the point at polar index
+    n_polar-1-i and azimuth index (j + n_azim/2) mod n_azim is exactly minus
+    the point (i, j), with the same weight.
+
+    Returns (points, weights) with points of shape (N, dim), polar index
+    major, and sum(weights) == |S^{dim-1}|.
     """
     if dim not in (2, 3):
         raise ValueError(f"sphere_rule supports dim 2 or 3, got {dim}")
     phi, w_phi = circle_rule(n_azim)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    if n_azim % 2 == 0:
+        half = n_azim // 2
+        cos_phi[half:], sin_phi[half:] = -cos_phi[:half], -sin_phi[:half]
     if dim == 2:
-        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(n_azim, w_phi)
+        return np.stack([cos_phi, sin_phi], axis=-1), np.full(n_azim, w_phi)
     ct, wct = legendre_rule(n_polar)
     st = np.sqrt(1.0 - ct**2)
     pts = np.stack(
         [
-            st[:, None] * np.cos(phi)[None, :],
-            st[:, None] * np.sin(phi)[None, :],
+            st[:, None] * cos_phi[None, :],
+            st[:, None] * sin_phi[None, :],
             np.broadcast_to(ct[:, None], (n_polar, n_azim)),
         ],
         axis=-1,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from collkit import (
     post_collision_map,
     q_boltzmann_carleman,
     q_boltzmann_sigma,
+    q_landau,
 )
 from collkit.fields import bump_field, gaussian_field
+from collkit.landau import polar_nodes
 
 from conftest import b_cos2, b_ones, collision_frequency_scale
 
@@ -129,6 +133,21 @@ def test_carleman_requires_3d(q_fast):
         q_boltzmann_carleman(f, np.zeros(2), k, q_fast)
 
 
+@pytest.mark.parametrize("field_dim,point_dim", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("route", [q_boltzmann_sigma, q_boltzmann_carleman, q_landau],
+                         ids=lambda r: r.__name__)
+def test_dimension_mismatch_rejected_early(q_fast, route, field_dim, point_dim):
+    # named up front, not a numpy broadcasting error from inside the quadrature
+    if route is q_landau:
+        k = KernelSpec(dim=3, gamma=0.0, operator="landau")
+    else:
+        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
+    f = gaussian_field(dim=field_dim)
+    with pytest.raises(ValueError, match=r"dimension 2 does not match kernel dimension 3"
+                                         r"|point v has shape \(2,\), expected \(3,\)"):
+        route(f, np.zeros(point_dim), k, q_fast)
+
+
 def test_noncutoff_needs_exact_gradient(q_fast, maxwellian):
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
@@ -177,3 +196,52 @@ def test_scaling_law_boltzmann():
         rhs = lam ** (-3.0 - 0.0) * q_boltzmann_carleman(f, lam * v, k, q)
         scale = abs(rhs) + collision_frequency_scale(f_lam, v, k, q)
         assert abs(lhs - rhs) <= 2e-4 * scale
+
+
+# ---------------------------------------------------------------------------
+# Work counts
+
+
+def counting(f):
+    """``f`` with an ``eval`` that records how many points each call asks for."""
+    seen = []
+
+    def ev(v):
+        seen.append(np.asarray(v).size // f.dim)
+        return f.eval(v)
+
+    return dataclasses.replace(f, eval=ev), seen
+
+
+def test_sigma_evaluates_each_outgoing_point_once(q_fast):
+    # f(v'_*) is f(v') at the antipodal sigma, so per radial node the route
+    # evaluates the N_omega points v_* and the N_sigma * N_omega points v'
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
+    f, seen = counting(bump_field(center=[0.3, 0.0, 0.0], radius=1.1))
+    v = np.array([0.5, 0.2, 0.0])
+    q_boltzmann_sigma(f, v, k, q_fast)
+    _, r, _, sigma, _ = polar_nodes(v, 3, q_fast)
+    assert sum(seen) == 1 + len(r) * len(sigma) * (len(sigma) + 1)
+
+
+@pytest.mark.parametrize("make_field", [
+    lambda: bump_field(center=[0.3, 0.0, 0.0], radius=1.1),
+    gaussian_field,
+], ids=["bump", "gaussian"])
+def test_carleman_evaluates_only_live_planes(q_fast, make_field):
+    # f(v) once, f at every outer point v + u eta, the N_x * N_phi inner points
+    # of each plane whose outer value is nonzero, and the Q_ns convolution
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
+    base = make_field()
+    f, seen = counting(base)
+    v = np.array([0.5, 0.2, 0.0])
+    q_boltzmann_carleman(f, v, k, q_fast)
+    outer, u, _, eta, _ = polar_nodes(v, 3, q_fast)
+    live = np.count_nonzero(base(outer), axis=1)
+    if make_field is gaussian_field:
+        assert np.all(live == len(eta))
+    else:
+        assert np.any(live == 0) and 0 < live.sum() < len(u) * len(eta)
+    per_plane = (4 * q_fast.hyperplane_nodes) * (2 * q_fast.angular_nodes)
+    convolution = len(u) * len(eta)
+    assert sum(seen) == 1 + len(u) * len(eta) + per_plane * live.sum() + convolution

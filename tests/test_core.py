@@ -13,7 +13,7 @@ from collkit import (
     make_barrier,
     weighted_sup_norm,
 )
-from collkit.fields import gaussian_field
+from collkit.fields import bump_field, gaussian_field
 
 from conftest import b_cos2, b_ones
 
@@ -280,3 +280,18 @@ def test_field_hessian_matches_analytic():
         dim=3, eval=g.eval, decay_exponent=g.decay_exponent, amplitude=g.amplitude
     )
     assert np.allclose(fd.hessian(v, rel_tol=1e-10), g.hessian(v), atol=1e-5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bump_field_equals_closed_form(dim):
+    # evaluated only inside the support, yet bit-identical to the closed form
+    # evaluated everywhere and masked, for batches and single points
+    c, R, A = np.linspace(-0.4, 0.5, dim), 1.3, 0.8
+    f = bump_field(center=c, radius=R, amplitude=A, dim=dim)
+    rng = np.random.default_rng(3)
+    for v in (rng.normal(size=(400, dim)), rng.normal(size=(6, 5, dim)),
+              c + 0.3, c + 2.0 * R):
+        s = np.sum(((v - c) / R) ** 2, axis=-1)
+        ref = np.where(s < 1.0, A * np.exp(1.0 - 1.0 / (1.0 - np.where(s < 1.0, s, 0.0))), 0.0)
+        out = f(v)
+        assert out.shape == ref.shape and np.array_equal(out, ref)

@@ -98,16 +98,32 @@ def test_panel_rules_equal_per_panel_gauss():
 
 
 def test_sphere_rule_equals_fresh_gauss():
+    # the reference takes a freshly solved Gauss rule, and cos/sin of the
+    # second half of the azimuths negated from the first half
     for n_polar, n_azim in ((8, 16), (12, 24)):
         pts, w = sphere_rule(3, n_polar, n_azim)
         ct, wct = np.polynomial.legendre.leggauss(n_polar)
-        phi = (np.arange(n_azim) + 0.5) * 2.0 * np.pi / n_azim
+        phi = (np.arange(n_azim // 2) + 0.5) * 2.0 * np.pi / n_azim
+        cos_phi = np.concatenate([np.cos(phi), -np.cos(phi)])
+        sin_phi = np.concatenate([np.sin(phi), -np.sin(phi)])
         st = np.sqrt(1.0 - ct**2)
-        ref = np.stack([st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
+        ref = np.stack([st[:, None] * cos_phi, st[:, None] * sin_phi,
                         np.broadcast_to(ct[:, None], (n_polar, n_azim))], axis=-1)
         assert np.array_equal(pts, ref.reshape(-1, 3))
         assert np.array_equal(w, (wct[:, None] * (2.0 * np.pi / n_azim)
                                   * np.ones(n_azim)).reshape(-1))
+
+
+@pytest.mark.parametrize("dim,n_polar", [(3, 8), (3, 5), (2, 1), (2, 8)])
+def test_sphere_rule_antipodal_bit_for_bit(dim, n_polar):
+    # with n_azim = 2 p, point (i, j) has its exact antipode at polar index
+    # n_polar-1-i and azimuth index j + p (mod 2 p), with the same weight
+    n_azim = 2 * n_polar
+    pts, w = sphere_rule(dim, n_polar, n_azim)
+    rows = np.arange(len(pts)).reshape(-1, n_azim)
+    antipode = np.roll(rows[::-1], n_polar, axis=1).ravel()
+    assert np.array_equal(pts[antipode], -pts)
+    assert np.array_equal(w[antipode], w)
 
 
 def test_panel_interval_validation():

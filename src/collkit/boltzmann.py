@@ -28,16 +28,17 @@ Both routes evaluate the field only where they read a value they do not
 already have, and only where it can change the sum:
 
 * sigma route: v'_*(sigma) = v'(-sigma), and the sphere rule is antipodal
-  bit for bit, so f(v'_*) is a fixed row permutation of f(v') and only v'
-  is evaluated (one field evaluation per radial node instead of two).
-* Carleman route: a plane whose outer value f(v + u*eta) is exactly 0 adds
-  0 * inner, so its inner points are neither built nor evaluated; a radial
-  node with no such plane left is skipped.  This keys on exact zeros the
-  route computes anyway (compactly supported fields), so results move at
-  most by summation order.  Scope of the finiteness check: ``VelocityField``
-  rejects a non-finite value only at points it is asked for, so inner
-  points on a zero-weight plane are no longer checked; every value that
-  enters the sum still is.
+  bit for bit, so f(v'_*) is a fixed row permutation of f(v'); f(v_*) is
+  evaluated in one call, and f(v') in one call per radial node.
+* Carleman route: the outer values f(v + u*eta) are evaluated once; they
+  weight the planes of Q_s and are the convolution values of Q_ns.  A plane
+  whose outer value is exactly 0 adds 0 * inner, so its inner points are
+  neither built nor evaluated; a radial node with no such plane left is
+  skipped.  This keys on exact zeros the route computes anyway (compactly
+  supported fields), so results move at most by summation order.  Scope of
+  the finiteness check: ``VelocityField`` rejects a non-finite value only
+  at points it is asked for, so inner points on a zero-weight plane are not
+  checked; every value that enters the sum is.
 
 Both routes reject a field or point whose dimension is not the kernel's
 before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).
@@ -46,8 +47,8 @@ before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).
 import numpy as np
 
 from .exceptions import CapabilityError, UnsupportedParameterError
-from .landau import polar_nodes, singular_convolution
-from .util import circle_rule, graded_panels, orthonormal_complement
+from .landau import polar_convolution, polar_nodes
+from .util import circle_rule, graded_panels, orthonormal_complement, sphere_antipodes
 
 
 def post_collision_map(v, v_star, sigma, r):
@@ -83,25 +84,20 @@ def q_boltzmann_sigma(f, v, k, q):
     v = k.checked_point(f, v, "q_boltzmann_sigma")
     pts, r, wr, omega, w_om = polar_nodes(v, k.dim, q)
     sigma, w_sg = omega, w_om  # the same sphere rule serves both angles
-    # the rule is antipodal bit for bit (util.sphere_rule): row antipode[s]
-    # is -sigma[s], found by reversing the polar index and shifting the
-    # azimuth by half a turn
-    n_azim = 2 * q.angular_nodes
-    rows = np.arange(len(sigma)).reshape(-1, n_azim)
-    antipode = np.roll(rows[::-1], n_azim // 2, axis=1).ravel()
+    # the rule is antipodal bit for bit: row antipode[s] is -sigma[s]
+    antipode = sphere_antipodes(k.dim, q.angular_nodes)
     f_v = float(f(v))
+    f_star = f(pts)                               # (Nr, Nom): f(v_*) = f(v + r omega)
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -sigma @ omega.T                      # (Nsig, Nom)
     sin_half = np.sqrt(np.clip(0.5 * (1.0 - cos_t), 0.0, 1.0))
     b_vals = k.b(sin_half)
     total = 0.0
     for i in range(len(r)):
-        vs = pts[i]                               # (Nom, d) = v + r_i omega
-        f_vs = f(vs)
-        vp, _ = post_collision_map(v, vs[None], sigma[:, None], r[i])
+        vp, _ = post_collision_map(v, pts[i][None], sigma[:, None], r[i])
         f_vp = f(vp)                              # (Nsig, Nom)
         # v'_*(sigma) = v'(-sigma) exactly, so f(v'_*) is a row permutation
-        vals = f_vp * f_vp[antipode] - f_v * f_vs[None, :]
+        vals = f_vp * f_vp[antipode] - f_v * f_star[i][None, :]
         total += wr[i] * r[i] ** k.gamma * np.einsum(
             "s,so,so,o->", w_sg, b_vals, vals, w_om
         )
@@ -112,7 +108,23 @@ def q_boltzmann_sigma(f, v, k, q):
 # Carleman representation
 
 
-def _carleman_qs(f, v, f_v, k, q):
+def plane_rule(q):
+    """(x, wx, phi, w_phi): graded radii on [0, 1] and the azimuths of a Carleman plane."""
+    x, wx = graded_panels(0.0, 1.0, q.hyperplane_nodes, ratio=2.5)
+    phi, w_phi = circle_rule(2 * q.angular_nodes)
+    return x, wx, phi, w_phi
+
+
+def q_boltzmann_carleman(f, v, k, q):
+    """Collision operator as Q_s + Q_ns in Carleman coordinates.
+
+    Works for cutoff and non-cutoff kernels; for the latter the inner
+    integrand is Taylor-regularized inside |v' - v| < h0 (the odd first-order
+    term integrates to zero over the hyperplane).
+    """
+    if k.operator != "boltzmann":
+        raise ValueError("q_boltzmann_carleman requires a Boltzmann kernel")
+    v = k.checked_point(f, v, "q_boltzmann_carleman")
     d = k.dim
     if d != 3:
         raise UnsupportedParameterError("Carleman evaluation is implemented for d = 3")
@@ -123,25 +135,25 @@ def _carleman_qs(f, v, f_v, k, q):
                 "non-cutoff Carleman evaluation needs an exact gradient"
             )
         grad_v = np.asarray(f.grad_eval(v), dtype=float)
+    f_v = float(f(v))
 
-    # outer radial nodes for u = |v'_* - v|
-    _, u, wu, eta, w_eta = polar_nodes(v, d, q)
-    e1, e2 = orthonormal_complement(eta)
+    # outer radial nodes for u = |v'_* - v|, and the outer values f(v + u eta)
+    outer, u, wu, eta, w_eta = polar_nodes(v, d, q)
+    f_outer = f(outer)                         # (Nu, Neta)
+    qns = k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma, d)
 
     # fixed unit inner radial grid; per-outer-node scaling rho = u * x makes
     # the angular restriction rho <= u exact
-    x, wx = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
-    phi, w_phi = circle_rule(2 * q.angular_nodes)
+    e1, e2 = orthonormal_complement(eta)
+    x, wx, phi, w_phi = plane_rule(q)
     dirs = (np.cos(phi)[None, :, None] * e1[:, None, :]
             + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Neta, Nphi, 3)
 
-    total = 0.0
+    qs = 0.0
     for i in range(len(u)):
         ui = u[i]
-        vps = v + ui * eta                     # (Neta, 3)
-        f_vps = f(vps)
         # a plane whose outer value is exactly 0 adds 0 * inner: skip it
-        live = np.flatnonzero(f_vps)
+        live = np.flatnonzero(f_outer[i])
         if live.size == 0:
             continue
         rho = ui * x
@@ -156,21 +168,5 @@ def _carleman_qs(f, v, f_v, k, q):
             diff = diff - np.where(taylor_zone[:, None, None], lin, 0.0)
         inner = np.einsum("x,xnp->n", w_rho * rho * b2, diff) * w_phi
         # wu already carries the radial measure u^{d-1}
-        total += wu[i] * float(np.dot(w_eta[live], f_vps[live] * inner))
-    return total
-
-
-def q_boltzmann_carleman(f, v, k, q):
-    """Collision operator as Q_s + Q_ns in Carleman coordinates.
-
-    Works for cutoff and non-cutoff kernels; for the latter the inner
-    integrand is Taylor-regularized inside |v' - v| < h0 (the odd first-order
-    term integrates to zero over the hyperplane).
-    """
-    if k.operator != "boltzmann":
-        raise ValueError("q_boltzmann_carleman requires a Boltzmann kernel")
-    v = k.checked_point(f, v, "q_boltzmann_carleman")
-    f_v = float(f(v))
-    qs = _carleman_qs(f, v, f_v, k, q)
-    qns = k.cb * f_v * singular_convolution(f, v, k.gamma, q)
+        qs += wu[i] * float(np.dot(w_eta[live], f_outer[i, live] * inner))
     return float(qs + qns)

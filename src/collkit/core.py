@@ -375,7 +375,7 @@ def _norm_sample_points(dim, grid):
     truncation radius.  The point list is what the reported maximizer ranges
     over.
     """
-    dirs, _ = sphere_rule(dim, grid.angular_nodes, 2 * grid.angular_nodes)
+    dirs, _ = sphere_rule(dim, grid.angular_nodes)
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
     dirs = np.concatenate([axes, dirs])
     n_r = max(64, 8 * grid.radial_nodes)

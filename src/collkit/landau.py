@@ -42,24 +42,27 @@ def polar_nodes(v, dim, q):
     """
     v = np.asarray(v, dtype=float)
     r_max = q.outer_radius + float(np.linalg.norm(v))
-    r_head, w_head = graded_panels(0.0, q.polar_radius, q.radial_nodes, 4, ratio=2.0)
-    r_tail, w_tail = geometric_panels(q.polar_radius, r_max, q.radial_nodes, 4)
+    r_head, w_head = graded_panels(0.0, q.polar_radius, q.radial_nodes, ratio=2.0)
+    r_tail, w_tail = geometric_panels(q.polar_radius, r_max, q.radial_nodes)
     r = np.concatenate([r_head, r_tail])
     wr = np.concatenate([w_head, w_tail]) * r ** (dim - 1)
-    sigma, ws = sphere_rule(dim, q.angular_nodes, 2 * q.angular_nodes)
+    sigma, ws = sphere_rule(dim, q.angular_nodes)
     pts = v[None, None, :] + r[:, None, None] * sigma[None, :, :]
     return pts, r, wr, sigma, ws
 
 
+def polar_convolution(r, wr, ws, vals, power, dim):
+    """(f * |.|^power)(v) from vals = f at the :func:`polar_nodes` points; needs power > -dim."""
+    if power <= -dim:
+        raise UnsupportedParameterError(
+            f"convolution power {power} not integrable in dimension {dim}")
+    return float(np.einsum("i,j,ij->", wr * r**power, ws, vals))
+
+
 def singular_convolution(f, v, power, q):
     """(f * |.|^power)(v) by the polar rule above; requires power > -dim."""
-    if power <= -f.dim:
-        raise UnsupportedParameterError(
-            f"convolution power {power} not integrable in dimension {f.dim}"
-        )
     pts, r, wr, _, ws = polar_nodes(v, f.dim, q)
-    vals = f(pts)
-    return float(np.einsum("i,j,ij->", wr * r**power, ws, vals))
+    return polar_convolution(r, wr, ws, f(pts), power, f.dim)
 
 
 def landau_coefficients(f, v, k, q):
@@ -78,16 +81,9 @@ def landau_coefficients(f, v, k, q):
     a_bar = np.einsum("i,j,ij,jkl->kl", radial_a, ws, vals, proj)
 
     if k.gamma == -d:
-        if d == 2:
-            raise UnsupportedParameterError(
-                "gamma = -d is not supported in dimension 2"
-            )
         c_bar = (d - 1) * sphere_area(d) * float(f(v))
     else:
-        radial_c = wr * r**k.gamma
-        c_bar = (d - 1) * (d + k.gamma) * float(
-            np.einsum("i,j,ij->", radial_c, ws, vals)
-        )
+        c_bar = (d - 1) * (d + k.gamma) * polar_convolution(r, wr, ws, vals, k.gamma, d)
 
     eigs = np.linalg.eigvalsh(a_bar)
     trace = float(np.trace(a_bar))

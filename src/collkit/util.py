@@ -3,7 +3,8 @@
 All node/weight constructors here are deterministic: identical arguments
 produce bit-identical arrays, which is what makes downstream artifacts
 byte-reproducible.  The Gauss-Legendre base rule is solved once per order
-(:func:`legendre_rule`) and shared by every constructor.
+(:func:`legendre_rule`) and shared by every constructor.  Panel rules are
+4-point Gauss; sphere rules have 2 * n_polar azimuths and are antipodal.
 """
 
 import functools
@@ -50,16 +51,16 @@ def gauss_panel(a, b, n):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _composite_gauss(edges, n_per_panel):
-    """Flat nodes/weights of an ``n_per_panel``-point Gauss rule on each panel."""
-    gx, gw = legendre_rule(n_per_panel)
+def _composite_gauss(edges):
+    """Flat nodes/weights of a 4-point Gauss rule on each panel."""
+    gx, gw = legendre_rule(4)
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     return (half * (gx + 1.0) + lo).ravel(), (half * gw).ravel()
 
 
-def graded_panels(a, b, n_panels, n_per_panel, ratio=3.0):
-    """Composite Gauss rule on [a, b] with power-graded panels toward ``a``.
+def graded_panels(a, b, n_panels, *, ratio):
+    """Composite 4-point Gauss rule on [a, b] with power-graded panels toward ``a``.
 
     Panel edges a + (b-a) * (k/n)^ratio accumulate at ``a`` to resolve a
     power singularity there, while every panel still shrinks as n_panels
@@ -69,18 +70,18 @@ def graded_panels(a, b, n_panels, n_per_panel, ratio=3.0):
         raise ValueError(f"bad panel interval [{a}, {b}]")
     k = np.arange(n_panels + 1, dtype=float)
     edges = a + (b - a) * (k / n_panels) ** ratio
-    return _composite_gauss(edges, n_per_panel)
+    return _composite_gauss(edges)
 
 
-def geometric_panels(a, b, n_panels, n_per_panel):
-    """Composite Gauss rule on [a, b] > 0 with logarithmically spaced panel edges.
+def geometric_panels(a, b, n_panels):
+    """Composite 4-point Gauss rule on [a, b] > 0 with logarithmically spaced panel edges.
 
     Used for long algebraic tails: each panel covers a constant factor in radius.
     """
     if not (b > a > 0.0):
         raise ValueError(f"geometric panels need 0 < a < b, got [{a}, {b}]")
     edges = np.geomspace(a, b, n_panels + 1)
-    return _composite_gauss(edges, n_per_panel)
+    return _composite_gauss(edges)
 
 
 def circle_rule(n):
@@ -88,29 +89,27 @@ def circle_rule(n):
     return (np.arange(n) + 0.5) * 2.0 * np.pi / n, 2.0 * np.pi / n
 
 
-def sphere_rule(dim, n_polar, n_azim):
-    """Product quadrature on the unit sphere S^{dim-1}.
+def sphere_rule(dim, n_polar):
+    """Product quadrature on the unit sphere S^{dim-1} with 2 * n_polar azimuths.
 
     For dim == 3: Gauss-Legendre in cos(theta) times the midpoint azimuth
     rule :func:`circle_rule`; exact for spherical harmonics up to high degree.
     For dim == 2: the circle rule alone.
 
-    For even ``n_azim`` the rule is antipodal bit for bit: the second half of
-    the azimuths takes the negated cos/sin of the first half (phi + pi), and
-    the Gauss-Legendre rule is exactly symmetric, so the point at polar index
-    n_polar-1-i and azimuth index (j + n_azim/2) mod n_azim is exactly minus
-    the point (i, j), with the same weight.
+    The rule is antipodal bit for bit: the second half of the azimuths takes
+    the negated cos/sin of the first half (phi + pi), and the Gauss-Legendre
+    rule is exactly symmetric, so :func:`sphere_antipodes` maps each point to
+    exactly minus itself, with the same weight.
 
     Returns (points, weights) with points of shape (N, dim), polar index
     major, and sum(weights) == |S^{dim-1}|.
     """
     if dim not in (2, 3):
         raise ValueError(f"sphere_rule supports dim 2 or 3, got {dim}")
+    n_azim = 2 * n_polar
     phi, w_phi = circle_rule(n_azim)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    if n_azim % 2 == 0:
-        half = n_azim // 2
-        cos_phi[half:], sin_phi[half:] = -cos_phi[:half], -sin_phi[:half]
+    cos_phi[n_polar:], sin_phi[n_polar:] = -cos_phi[:n_polar], -sin_phi[:n_polar]
     if dim == 2:
         return np.stack([cos_phi, sin_phi], axis=-1), np.full(n_azim, w_phi)
     ct, wct = legendre_rule(n_polar)
@@ -125,6 +124,13 @@ def sphere_rule(dim, n_polar, n_azim):
     ).reshape(-1, 3)
     w = (wct[:, None] * w_phi * np.ones(n_azim)).reshape(-1)
     return pts, w
+
+
+def sphere_antipodes(dim, n_polar):
+    """Rows of ``sphere_rule(dim, n_polar)`` at minus each point: polar index reversed, phi + pi."""
+    n_azim = 2 * n_polar
+    rows = np.arange(n_azim * (n_polar if dim == 3 else 1)).reshape(-1, n_azim)
+    return np.roll(rows[::-1], n_polar, axis=1).ravel()
 
 
 def orthonormal_complement(normals):

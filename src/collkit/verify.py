@@ -36,11 +36,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .boltzmann import q_boltzmann_carleman
+from .boltzmann import plane_rule, q_boltzmann_carleman
 from .core import _norm_sample_points
 from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
-from .util import bracket, circle_rule, geometric_panels, graded_panels, orthonormal_complement
+from .util import bracket, geometric_panels, orthonormal_complement
 
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
@@ -270,34 +270,35 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     q_ew = np.linalg.norm(ew, axis=-1)[:, None, None]              # |e - w|, (B, 1, 1)
     e1, e2 = orthonormal_complement(ew / q_ew[:, :, 0])
 
-    rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
-    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes, 4)
+    rho_h, w_h, phi, w_phi = plane_rule(q)
+    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
     rho = np.concatenate([rho_h, rho_t])[:, None]                 # (Nr, 1)
     w_rho = np.concatenate([w_h, w_t])[:, None] * rho
 
-    phi, w_phi = circle_rule(2 * q.angular_nodes)
     e_ehat = (np.cos(phi) * e1[:, :1] + np.sin(phi) * e2[:, :1])[:, None, :]
 
-    # phi-free factors, shape (B, Nr, 1)
-    r = np.sqrt(rho**2 + q_ew**2)
-    shift = (d + k.gamma) * np.log(r / q_ew)
-    loss = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0)) * k.b(rho / r) * w_rho
-    gain = r ** (2.0 - d + k.gamma) * k.b(q_ew / r) * w_rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        # phi-free factors, shape (B, Nr, 1)
+        r = np.sqrt(rho**2 + q_ew**2)
+        shift = (d + k.gamma) * np.log(r / q_ew)
+        loss = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0)) * k.b(rho / r) * w_rho
+        gain = r ** (2.0 - d + k.gamma) * k.b(q_ew / r) * w_rho
 
-    # two full-size (B, Nr, Nphi) buffers: -m log|z|, then the two terms
-    log_z = np.add(2.0 * e_ehat, rho)
-    log_z *= rho
-    np.log1p(log_z, out=log_z)
-    log_z *= -0.5 * m
-    term = np.add(log_z, shift)
-    np.expm1(term, out=term)
-    term *= loss
-    np.exp(log_z, out=log_z)
-    log_z *= gain
-    term += log_z
-    out = np.sum(term, axis=(1, 2)) * w_phi
+        # two full-size (B, Nr, Nphi) buffers: -m log|z|, then the two terms
+        log_z = np.add(2.0 * e_ehat, rho)
+        log_z *= rho
+        np.log1p(log_z, out=log_z)
+        log_z *= -0.5 * m
+        term = np.add(log_z, shift)
+        np.expm1(term, out=term)
+        term *= loss
+        np.exp(log_z, out=log_z)
+        log_z *= gain
+        term += log_z
+        out = np.sum(term, axis=(1, 2)) * w_phi
     if not np.all(np.isfinite(out)):
-        # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77
+        # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77;
+        # this check reports it, so numpy does not warn of it above
         raise EvaluationError(f"hyperplane integral is not finite at m = {m}, "
                               f"gamma = {k.gamma}")
     return float(out[0]) if not batch else out.reshape(batch)

@@ -133,6 +133,7 @@ def test_carleman_requires_3d(q_fast):
         q_boltzmann_carleman(f, np.zeros(2), k, q_fast)
 
 
+
 @pytest.mark.parametrize("field_dim,point_dim", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("route", [q_boltzmann_sigma, q_boltzmann_carleman, q_landau],
                          ids=lambda r: r.__name__)
@@ -214,13 +215,15 @@ def counting(f):
 
 
 def test_sigma_evaluates_each_outgoing_point_once(q_fast):
-    # f(v'_*) is f(v') at the antipodal sigma, so per radial node the route
-    # evaluates the N_omega points v_* and the N_sigma * N_omega points v'
+    # f(v'_*) is f(v') at the antipodal sigma, so the route evaluates f(v),
+    # the N_r * N_omega points v_* in one call, and per radial node the
+    # N_sigma * N_omega points v'
     k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
     f, seen = counting(bump_field(center=[0.3, 0.0, 0.0], radius=1.1))
     v = np.array([0.5, 0.2, 0.0])
     q_boltzmann_sigma(f, v, k, q_fast)
     _, r, _, sigma, _ = polar_nodes(v, 3, q_fast)
+    assert len(seen) == 2 + len(r)
     assert sum(seen) == 1 + len(r) * len(sigma) * (len(sigma) + 1)
 
 
@@ -229,8 +232,9 @@ def test_sigma_evaluates_each_outgoing_point_once(q_fast):
     gaussian_field,
 ], ids=["bump", "gaussian"])
 def test_carleman_evaluates_only_live_planes(q_fast, make_field):
-    # f(v) once, f at every outer point v + u eta, the N_x * N_phi inner points
-    # of each plane whose outer value is nonzero, and the Q_ns convolution
+    # f(v) once, f at every outer point v + u eta (the values of both the
+    # plane weights and the Q_ns convolution), and the N_x * N_phi inner
+    # points of each plane whose outer value is nonzero
     k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
     base = make_field()
     f, seen = counting(base)
@@ -243,5 +247,16 @@ def test_carleman_evaluates_only_live_planes(q_fast, make_field):
     else:
         assert np.any(live == 0) and 0 < live.sum() < len(u) * len(eta)
     per_plane = (4 * q_fast.hyperplane_nodes) * (2 * q_fast.angular_nodes)
-    convolution = len(u) * len(eta)
-    assert sum(seen) == 1 + len(u) * len(eta) + per_plane * live.sum() + convolution
+    assert sum(seen) == 1 + len(u) * len(eta) + per_plane * live.sum()
+
+
+def test_carleman_rejects_gamma_minus_d(q_fast):
+    # the kernel admits gamma = -d (for the sigma-form), but the convolution
+    # of Q_ns diverges there; the route rejects it before any plane of Q_s
+    k = KernelSpec(dim=3, gamma=-3.0, operator="boltzmann", b=b_ones)
+    f, seen = counting(gaussian_field())
+    v = np.array([0.5, 0.2, 0.0])
+    with pytest.raises(UnsupportedParameterError):
+        q_boltzmann_carleman(f, v, k, q_fast)
+    _, u, _, eta, _ = polar_nodes(v, 3, q_fast)
+    assert sum(seen) == 1 + len(u) * len(eta)

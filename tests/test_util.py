@@ -9,6 +9,7 @@ from collkit.util import (
     legendre_rule,
     orthonormal_complement,
     sphere_area,
+    sphere_antipodes,
     sphere_rule,
     splitmix64,
 )
@@ -29,7 +30,7 @@ def test_gauss_panel_exactness():
 
 
 def test_graded_panels_weight_sum():
-    x, w = graded_panels(0.0, 2.0, 10, 4)
+    x, w = graded_panels(0.0, 2.0, 10, ratio=3.0)
     assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
     assert np.all((x > 0.0) & (x < 2.0))
 
@@ -37,8 +38,8 @@ def test_graded_panels_weight_sum():
 def test_graded_panels_singular_integrand():
     # integral of x^{-1/2} over [0, 1] = 2; the panels must both resolve the
     # endpoint singularity and converge under refinement
-    x8, w8 = graded_panels(0.0, 1.0, 8, 4)
-    x32, w32 = graded_panels(0.0, 1.0, 32, 4)
+    x8, w8 = graded_panels(0.0, 1.0, 8, ratio=3.0)
+    x32, w32 = graded_panels(0.0, 1.0, 32, ratio=3.0)
     e8 = abs(np.dot(w8, x8**-0.5) - 2.0)
     e32 = abs(np.dot(w32, x32**-0.5) - 2.0)
     assert e32 < 5e-3
@@ -52,14 +53,14 @@ def test_graded_panels_smooth_convergence():
     exact = np.sin(3.0) / 3.0
     errs = []
     for n in (4, 8, 16):
-        x, w = graded_panels(0.0, 1.0, n, 4)
+        x, w = graded_panels(0.0, 1.0, n, ratio=3.0)
         errs.append(abs(np.dot(w, f(x)) - exact))
     assert errs[2] < 1e-10
     assert errs[2] < errs[0]
 
 
 def test_geometric_panels_log_integrand():
-    x, w = geometric_panels(1.0, np.e**4, 16, 4)
+    x, w = geometric_panels(1.0, np.e**4, 16)
     assert np.dot(w, 1.0 / x) == pytest.approx(4.0, rel=1e-8)
 
 
@@ -82,17 +83,17 @@ def test_panel_rules_equal_per_panel_gauss():
         return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
 
     cases = [
-        (graded_panels(0.0, 1.0, 12, 4, ratio=2.0),
+        (graded_panels(0.0, 1.0, 12, ratio=2.0),
          (np.arange(13) / 12.0) ** 2.0),
-        (graded_panels(0.0, 1.0, 16, 4, ratio=2.5),
+        (graded_panels(0.0, 1.0, 16, ratio=2.5),
          (np.arange(17) / 16.0) ** 2.5),
-        (geometric_panels(1.0, 9.0, 7, 5), np.geomspace(1.0, 9.0, 8)),
-        (geometric_panels(1.0, 1e4, 32, 4), np.geomspace(1.0, 1e4, 33)),
+        (geometric_panels(1.0, 9.0, 7), np.geomspace(1.0, 9.0, 8)),
+        (geometric_panels(1.0, 1e4, 32), np.geomspace(1.0, 1e4, 33)),
     ]
     for (x, w), edges in cases:
-        n = len(x) // (len(edges) - 1)
+        assert len(x) == 4 * (len(edges) - 1)
         for build in (gauss_panel, fresh_panel):
-            rules = [build(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
+            rules = [build(lo, hi, 4) for lo, hi in zip(edges[:-1], edges[1:])]
             assert np.array_equal(x, np.concatenate([r[0] for r in rules]))
             assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
 
@@ -100,8 +101,9 @@ def test_panel_rules_equal_per_panel_gauss():
 def test_sphere_rule_equals_fresh_gauss():
     # the reference takes a freshly solved Gauss rule, and cos/sin of the
     # second half of the azimuths negated from the first half
-    for n_polar, n_azim in ((8, 16), (12, 24)):
-        pts, w = sphere_rule(3, n_polar, n_azim)
+    for n_polar in (8, 12):
+        n_azim = 2 * n_polar
+        pts, w = sphere_rule(3, n_polar)
         ct, wct = np.polynomial.legendre.leggauss(n_polar)
         phi = (np.arange(n_azim // 2) + 0.5) * 2.0 * np.pi / n_azim
         cos_phi = np.concatenate([np.cos(phi), -np.cos(phi)])
@@ -116,33 +118,35 @@ def test_sphere_rule_equals_fresh_gauss():
 
 @pytest.mark.parametrize("dim,n_polar", [(3, 8), (3, 5), (2, 1), (2, 8)])
 def test_sphere_rule_antipodal_bit_for_bit(dim, n_polar):
-    # with n_azim = 2 p, point (i, j) has its exact antipode at polar index
-    # n_polar-1-i and azimuth index j + p (mod 2 p), with the same weight
-    n_azim = 2 * n_polar
-    pts, w = sphere_rule(dim, n_polar, n_azim)
-    rows = np.arange(len(pts)).reshape(-1, n_azim)
-    antipode = np.roll(rows[::-1], n_polar, axis=1).ravel()
+    # each point's exact antipode has the same weight
+    pts, w = sphere_rule(dim, n_polar)
+    antipode = sphere_antipodes(dim, n_polar)
+    assert np.array_equal(np.sort(antipode), np.arange(len(pts)))
     assert np.array_equal(pts[antipode], -pts)
     assert np.array_equal(w[antipode], w)
 
 
 def test_panel_interval_validation():
     with pytest.raises(ValueError):
-        graded_panels(1.0, 1.0, 4, 4)
+        graded_panels(1.0, 1.0, 4, ratio=3.0)
     with pytest.raises(ValueError):
-        geometric_panels(0.0, 1.0, 4, 4)
+        geometric_panels(0.0, 1.0, 4)
+    # every panel rule is 4-point Gauss: a stale points-per-panel argument
+    # cannot be taken for the grading ratio
+    with pytest.raises(TypeError):
+        graded_panels(0.0, 1.0, 8, 4)
 
 
 def test_sphere_rule_weight_sum():
     for dim in (2, 3):
-        pts, w = sphere_rule(dim, 8, 16)
+        pts, w = sphere_rule(dim, 8)
         assert np.sum(w) == pytest.approx(sphere_area(dim), rel=1e-12)
         assert np.allclose(np.linalg.norm(pts, axis=-1), 1.0)
 
 
 def test_sphere_rule_second_moment():
     # integral of x^2 over S^2 is |S^2|/3
-    pts, w = sphere_rule(3, 8, 16)
+    pts, w = sphere_rule(3, 8)
     assert np.dot(w, pts[:, 0] ** 2) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
     # odd moments vanish
     assert abs(np.dot(w, pts[:, 2])) < 1e-13

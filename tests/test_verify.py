@@ -129,8 +129,8 @@ def hyperplane_reference(m, w, k, q):
     ew = e - w
     q_ew = float(np.linalg.norm(ew))
     e1, e2 = orthonormal_complement((ew / q_ew)[None, :])
-    rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, 4, ratio=2.5)
-    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes, 4)
+    rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, ratio=2.5)
+    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
     rho = np.concatenate([rho_h, rho_t])
     w_rho = np.concatenate([w_h, w_t]) * rho
     n_phi = 2 * q.angular_nodes

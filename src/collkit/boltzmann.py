@@ -24,31 +24,53 @@ inner point v' on the plane through v orthogonal to eta, restricted to
 r^2 = rho^2 + u^2) and C_b = ``KernelSpec.cb``, computed once per kernel
 by the cancellation integral in :func:`collkit.core.cb_constant`.
 
-Both routes evaluate the field only where they read a value they do not
-already have, and only where it can change the sum:
+Samples and weights.  The kernel (gamma, b) enters either route only through
+weights, so each route is split into a sample build, which does every field
+evaluation and depends on (f, v, q) alone, and a reduction, which applies
+one kernel's weights and evaluates no field point.  Each route memoizes its
+sample build for the most recent (f, v, q) only, so a kernel sweep at one
+point samples f once, and a call at any other point builds afresh.  This
+relies on the purity contract of :class:`collkit.core.VelocityField`: fields
+that compare equal (the same evaluators and metadata) give the same values.
+A field that cannot be hashed is sampled without the memo.
 
-* sigma route: v'_*(sigma) = v'(-sigma), and the sphere rule is antipodal
-  bit for bit, so f(v'_*) is a fixed row permutation of f(v'); f(v_*) is
-  evaluated in one call, and f(v') in one call per radial node.
-* Carleman route: the outer values f(v + u*eta) are evaluated once; they
-  weight the planes of Q_s and are the convolution values of Q_ns.  A plane
-  whose outer value is exactly 0 adds 0 * inner, so its inner points are
-  neither built nor evaluated; a radial node with no such plane left is
-  skipped.  This keys on exact zeros the route computes anyway (compactly
-  supported fields), so results move at most by summation order.  Scope of
-  the finiteness check: ``VelocityField`` rejects a non-finite value only
-  at points it is asked for, so inner points on a zero-weight plane are not
-  checked; every value that enters the sum is.
+* sigma samples: f(v), f(v_*) in one call, and f(v') in one call per radial
+  node.  v'_*(sigma) = v'(-sigma), and the sphere rule is antipodal bit for
+  bit, so one :func:`post_collision_map` call on half the sigma rows gives
+  every v' row, and f(v'_*) is a row permutation of f(v').  The products
+  f(v')f(v'_*) - f(v)f(v_*) are summed at once over the (sigma, omega) pairs
+  that share a deviation angle and a weight
+  (:func:`collkit.util.sphere_pair_classes`); the reduction evaluates b once
+  per class and r^gamma once per radial node.
+* Carleman samples: f(v), the outer values f(v + u*eta), and per radial
+  node u the plane sums of w_eta f(v + u*eta) [f(v') - f(v)] over eta and
+  the inner azimuths, on the inner radii rho = u*x.  The reduction forms B2
+  on the (u, x) grid, contracts it with those sums, and takes Q_ns from the
+  outer values.  A plane whose outer value is exactly 0 adds 0 * inner, so
+  its inner points are neither built nor evaluated; a radial node with no
+  such plane left is skipped.  This keys on exact zeros the route computes
+  anyway (compactly supported fields), so results move at most by summation
+  order.  Scope of the finiteness check: ``VelocityField`` rejects a
+  non-finite value only at points it is asked for, so inner points on a
+  zero-weight plane are not checked; every value that enters the sum is.
+  The first-order Taylor term of a non-cutoff kernel, rho dir . grad f(v),
+  needs no field point: its azimuthal sum is rho (sum of dir) . grad f(v).
 
 Both routes reject a field or point whose dimension is not the kernel's
-before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).
+before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).  The
+Carleman route also rejects gamma <= -d, and a non-cutoff kernel on a field
+without an exact gradient, before any sampling.
 """
+
+import functools
 
 import numpy as np
 
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_convolution, polar_nodes
-from .util import circle_rule, graded_panels, orthonormal_complement, sphere_antipodes
+from .util import (
+    circle_rule, graded_panels, orthonormal_complement, sphere_antipodes, sphere_pair_classes,
+)
 
 
 def post_collision_map(v, v_star, sigma, r):
@@ -69,7 +91,60 @@ def post_collision_map(v, v_star, sigma, r):
 
 
 # ---------------------------------------------------------------------------
+# Samples, memoized for the most recent (f, v, q)
+
+
+def _memo_last(build):
+    """``build`` memoized for its most recent arguments only; unhashable ones bypass the memo."""
+    memo = functools.lru_cache(maxsize=1)(build)
+
+    @functools.wraps(build)
+    def call(*key):
+        try:
+            hash(key)
+        except TypeError:
+            return build(*key)
+        return memo(*key)
+
+    return call
+
+
+# ---------------------------------------------------------------------------
 # sigma-representation
+
+
+@_memo_last
+def _sigma_samples(f, v, q):
+    """Field samples of the sigma route at the point ``v`` (a tuple).
+
+    Returns (r, wr, sums, cos_t, w_pair): the radial nodes and weights, and
+    per radial node i and deviation class c, sums[i, c] = the sum of
+    f(v')f(v'_*) - f(v)f(v_*) over the (sigma, omega) pairs of class c;
+    cos_t[c] = -sigma . omega and w_pair[c] = w_sigma * w_omega on that class.
+    """
+    v = np.array(v)
+    dim, n_polar = len(v), q.angular_nodes
+    pts, r, wr, omega, w_om = polar_nodes(v, dim, q)
+    sigma, w_sg = omega, w_om  # the same sphere rule serves both angles
+    # the rule is antipodal bit for bit: row antipode[s] is -sigma[s]
+    antipode = sphere_antipodes(dim, n_polar)
+    half = np.flatnonzero(np.arange(len(sigma)) < antipode)
+    rows = np.concatenate([half, antipode[half]])
+    classes, (rep_s, rep_o) = sphere_pair_classes(dim, n_polar)
+    f_v = float(f(v))
+    f_star = f(pts)                               # (Nr, Nom): f(v_*) = f(v + r omega)
+    f_vp = np.empty((len(sigma), len(omega)))
+    sums = np.empty((len(r), len(rep_s)))
+    for i in range(len(r)):
+        # v'_*(sigma) = v'(-sigma) exactly, so the map's two outputs on half
+        # the rows are every row of v', and f(v'_*) is a row permutation
+        vp = post_collision_map(v, pts[i][None], sigma[half, None], r[i])
+        f_vp[rows] = f(np.concatenate(vp))
+        vals = f_vp * f_vp[antipode] - f_v * f_star[i][None, :]
+        sums[i] = np.bincount(classes, weights=vals.ravel(), minlength=len(rep_s))
+    # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
+    cos_t = -np.einsum("ck,ck->c", sigma[rep_s], omega[rep_o])
+    return r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o]
 
 
 def q_boltzmann_sigma(f, v, k, q):
@@ -82,26 +157,9 @@ def q_boltzmann_sigma(f, v, k, q):
             "use q_boltzmann_carleman"
         )
     v = k.checked_point(f, v, "q_boltzmann_sigma")
-    pts, r, wr, omega, w_om = polar_nodes(v, k.dim, q)
-    sigma, w_sg = omega, w_om  # the same sphere rule serves both angles
-    # the rule is antipodal bit for bit: row antipode[s] is -sigma[s]
-    antipode = sphere_antipodes(k.dim, q.angular_nodes)
-    f_v = float(f(v))
-    f_star = f(pts)                               # (Nr, Nom): f(v_*) = f(v + r omega)
-    # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
-    cos_t = -sigma @ omega.T                      # (Nsig, Nom)
+    r, wr, sums, cos_t, w_pair = _sigma_samples(f, tuple(v), q)
     sin_half = np.sqrt(np.clip(0.5 * (1.0 - cos_t), 0.0, 1.0))
-    b_vals = k.b(sin_half)
-    total = 0.0
-    for i in range(len(r)):
-        vp, _ = post_collision_map(v, pts[i][None], sigma[:, None], r[i])
-        f_vp = f(vp)                              # (Nsig, Nom)
-        # v'_*(sigma) = v'(-sigma) exactly, so f(v'_*) is a row permutation
-        vals = f_vp * f_vp[antipode] - f_v * f_star[i][None, :]
-        total += wr[i] * r[i] ** k.gamma * np.einsum(
-            "s,so,so,o->", w_sg, b_vals, vals, w_om
-        )
-    return float(total)
+    return float((wr * r**k.gamma) @ sums @ (w_pair * k.b(sin_half)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +171,41 @@ def plane_rule(q):
     x, wx = graded_panels(0.0, 1.0, q.hyperplane_nodes, ratio=2.5)
     phi, w_phi = circle_rule(2 * q.angular_nodes)
     return x, wx, phi, w_phi
+
+
+@_memo_last
+def _carleman_samples(f, v, q):
+    """Field samples of the Carleman route at the point ``v`` (a tuple; d = 3).
+
+    Returns (f_v, outer, f_outer, plane, inner, tilt): f(v); the outer rule
+    (u, wu, w_eta) and the values f(v + u eta) on it; the plane rule
+    (x, wx, w_phi); per radial node i and inner radius rho = u_i x_j,
+    inner[i, j] = the sum over eta and the inner azimuths of
+    w_eta f(v + u_i eta) [f(v') - f(v)]; and tilt[i] = the sum over eta of
+    w_eta f(v + u_i eta) times the sum of the inner directions, which carries
+    the first-order Taylor term of a non-cutoff kernel.
+    """
+    v = np.array(v)
+    f_v = float(f(v))
+    outer, u, wu, eta, w_eta = polar_nodes(v, len(v), q)
+    f_outer = f(outer)                         # (Nu, Neta)
+    plane_w = w_eta * f_outer
+    # fixed unit inner radial grid; per-outer-node scaling rho = u * x makes
+    # the angular restriction rho <= u exact
+    e1, e2 = orthonormal_complement(eta)
+    x, wx, phi, w_phi = plane_rule(q)
+    dirs = (np.cos(phi)[None, :, None] * e1[:, None, :]
+            + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Neta, Nphi, 3)
+    inner = np.zeros((len(u), len(x)))
+    for i in range(len(u)):
+        # a plane whose outer value is exactly 0 adds 0 * inner: skip it
+        live = np.flatnonzero(f_outer[i])
+        if live.size == 0:
+            continue
+        vp = v + (u[i] * x)[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
+        inner[i] = np.sum(f(vp) - f_v, axis=2) @ plane_w[i, live]
+    tilt = plane_w @ np.sum(dirs, axis=1)      # (Nu, 3)
+    return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner, tilt
 
 
 def q_boltzmann_carleman(f, v, k, q):
@@ -128,45 +221,22 @@ def q_boltzmann_carleman(f, v, k, q):
     d = k.dim
     if d != 3:
         raise UnsupportedParameterError("Carleman evaluation is implemented for d = 3")
+    if k.gamma <= -d:
+        raise UnsupportedParameterError(
+            f"Carleman evaluation needs gamma > -{d}: the convolution of Q_ns diverges")
     use_taylor = not k.is_cutoff
-    if use_taylor:
-        if f.grad_eval is None:
-            raise CapabilityError(
-                "non-cutoff Carleman evaluation needs an exact gradient"
-            )
-        grad_v = np.asarray(f.grad_eval(v), dtype=float)
-    f_v = float(f(v))
-
-    # outer radial nodes for u = |v'_* - v|, and the outer values f(v + u eta)
-    outer, u, wu, eta, w_eta = polar_nodes(v, d, q)
-    f_outer = f(outer)                         # (Nu, Neta)
+    if use_taylor and f.grad_eval is None:
+        raise CapabilityError("non-cutoff Carleman evaluation needs an exact gradient")
+    f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner, tilt = _carleman_samples(
+        f, tuple(v), q)
     qns = k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma, d)
-
-    # fixed unit inner radial grid; per-outer-node scaling rho = u * x makes
-    # the angular restriction rho <= u exact
-    e1, e2 = orthonormal_complement(eta)
-    x, wx, phi, w_phi = plane_rule(q)
-    dirs = (np.cos(phi)[None, :, None] * e1[:, None, :]
-            + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Neta, Nphi, 3)
-
-    qs = 0.0
-    for i in range(len(u)):
-        ui = u[i]
-        # a plane whose outer value is exactly 0 adds 0 * inner: skip it
-        live = np.flatnonzero(f_outer[i])
-        if live.size == 0:
-            continue
-        rho = ui * x
-        w_rho = ui * wx
-        rr = np.sqrt(rho * rho + ui * ui)
-        b2 = 2.0 ** (d - 1) * rr ** (k.gamma + 2.0 - d) * k.b_folded(rho / rr) / ui
-        vp = v + rho[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
-        diff = f(vp) - f_v
-        if use_taylor:
-            lin = np.einsum("xnpc,c->xnp", vp - v, grad_v)
-            taylor_zone = rho < q.regularization_radius
-            diff = diff - np.where(taylor_zone[:, None, None], lin, 0.0)
-        inner = np.einsum("x,xnp->n", w_rho * rho * b2, diff) * w_phi
-        # wu already carries the radial measure u^{d-1}
-        qs += wu[i] * float(np.dot(w_eta[live], f_outer[i, live] * inner))
+    rho = u[:, None] * x[None, :]
+    rr = np.sqrt(rho * rho + (u * u)[:, None])
+    b2 = 2.0 ** (d - 1) * rr ** (k.gamma + 2.0 - d) * k.b_folded(rho / rr) / u[:, None]
+    if use_taylor:
+        grad_v = np.asarray(f.grad_eval(v), dtype=float)
+        taylor_zone = rho < q.regularization_radius
+        inner = inner - np.where(taylor_zone, rho * (tilt @ grad_v)[:, None], 0.0)
+    # wu already carries the radial measure u^{d-1}; the plane's is rho d rho
+    qs = w_phi * np.sum((wu * u)[:, None] * wx * rho * b2 * inner)
     return float(qs + qns)

@@ -29,7 +29,9 @@ class VelocityField:
     ``inner_void_radius``, when set, declares f == 0 on the open ball of
     that radius.
 
-    Instances are immutable; all evaluations must be pure.
+    Instances are immutable; all evaluations must be pure.  Equal fields
+    therefore share samples: the Boltzmann routes reuse the values of
+    their most recent call at the same field, point and scheme.
     """
 
     dim: int

@@ -133,6 +133,23 @@ def sphere_antipodes(dim, n_polar):
     return np.roll(rows[::-1], n_polar, axis=1).ravel()
 
 
+def sphere_pair_classes(dim, n_polar):
+    """Classes of point pairs (s, o) of ``sphere_rule(dim, n_polar)`` with equal s . o and w_s * w_o.
+
+    Both depend only on the polar rows of s and o and on the difference of
+    their azimuth indices (mod 2 * n_polar), which number the class.  Returns
+    (classes, (rep_s, rep_o)): ``classes`` holds the class of every pair,
+    flattened with s major; pair (rep_s[c], rep_o[c]) is one member of class c.
+    """
+    n_azim = 2 * n_polar
+    n_rows = n_polar if dim == 3 else 1
+    row, azim = np.divmod(np.arange(n_rows * n_azim), n_azim)
+    classes = (row[:, None] * n_rows + row[None, :]) * n_azim + (azim[:, None] - azim[None, :]) % n_azim
+    row_s, rest = np.divmod(np.arange(n_rows * n_rows * n_azim), n_rows * n_azim)
+    row_o, shift = np.divmod(rest, n_azim)
+    return classes.ravel(), (row_s * n_azim + shift, row_o * n_azim)
+
+
 def orthonormal_complement(normals):
     """Per-row orthonormal pairs (e1, e2) spanning the plane orthogonal to each normal.
 

@@ -252,11 +252,102 @@ def test_carleman_evaluates_only_live_planes(q_fast, make_field):
 
 def test_carleman_rejects_gamma_minus_d(q_fast):
     # the kernel admits gamma = -d (for the sigma-form), but the convolution
-    # of Q_ns diverges there; the route rejects it before any plane of Q_s
+    # of Q_ns diverges there; the route rejects it before any sampling
     k = KernelSpec(dim=3, gamma=-3.0, operator="boltzmann", b=b_ones)
     f, seen = counting(gaussian_field())
-    v = np.array([0.5, 0.2, 0.0])
     with pytest.raises(UnsupportedParameterError):
-        q_boltzmann_carleman(f, v, k, q_fast)
-    _, u, _, eta, _ = polar_nodes(v, 3, q_fast)
-    assert sum(seen) == 1 + len(u) * len(eta)
+        q_boltzmann_carleman(f, np.array([0.5, 0.2, 0.0]), k, q_fast)
+    assert sum(seen) == 0
+
+
+# ---------------------------------------------------------------------------
+# Samples shared across kernels
+
+
+SWEEP_KERNELS = [
+    KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones),
+    KernelSpec(dim=3, gamma=-1.0, operator="boltzmann", b=b_cos2),
+]
+
+
+@pytest.mark.parametrize("route", [q_boltzmann_sigma, q_boltzmann_carleman],
+                         ids=lambda r: r.__name__)
+def test_second_kernel_samples_nothing(q_fast, route):
+    # the kernel enters only through weights: a second kernel at the same
+    # (f, v, q) evaluates no field point
+    f, seen = counting(bump_field(center=[0.3, 0.0, 0.0], radius=1.1))
+    v = np.array([0.5, 0.2, 0.0])
+    route(f, v, SWEEP_KERNELS[0], q_fast)
+    cold = sum(seen)
+    route(f, v.copy(), SWEEP_KERNELS[1], q_fast)
+    assert cold > 0 and sum(seen) == cold
+
+
+@pytest.mark.parametrize("route", [q_boltzmann_sigma, q_boltzmann_carleman],
+                         ids=lambda r: r.__name__)
+def test_new_field_point_or_scheme_samples_again(q_fast, route):
+    # only the most recent (f, v, q) is kept: changing f, v or q evaluates
+    # the full count of a fresh field, never a stale sample
+    k = SWEEP_KERNELS[0]
+    base = bump_field(center=[0.3, 0.0, 0.0], radius=1.1)
+    v, w = np.array([0.5, 0.2, 0.0]), np.array([0.4, 0.2, 0.0])
+    q2 = dataclasses.replace(q_fast, outer_radius=7.0)
+    steps = [(v, q_fast), (w, q_fast), (v, q2), (v, q_fast)]
+    full = []
+    for point, scheme in steps:
+        fresh, seen = counting(base)
+        route(fresh, point, k, scheme)
+        full.append(sum(seen))
+    f, seen = counting(base)
+    for (point, scheme), expect in zip(steps, full):
+        before = sum(seen)
+        route(f, point, k, scheme)
+        assert sum(seen) - before == expect
+    g, seen_g = counting(base)
+    route(g, v, k, q_fast)
+    assert sum(seen_g) == full[0]
+
+
+def test_warm_values_equal_cold_values(q_fast):
+    # a value read from shared samples is the value of a fresh evaluation,
+    # bit for bit, including a non-cutoff Carleman call after a cutoff one
+    base = bump_field(center=[0.3, 0.0, 0.0], radius=1.1)
+    v = np.array([0.5, 0.2, 0.0])
+    noncutoff = KernelSpec(
+        dim=3, gamma=0.0, operator="boltzmann",
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
+    )
+    cases = [(q_boltzmann_sigma, k) for k in SWEEP_KERNELS]
+    cases += [(q_boltzmann_carleman, k) for k in SWEEP_KERNELS + [noncutoff]]
+    for route, k in cases:
+        cold = route(counting(base)[0], v, k, q_fast)
+        f, seen = counting(base)
+        route(f, v, SWEEP_KERNELS[0], q_fast)
+        sampled = sum(seen)
+        assert route(f, v, k, q_fast) == cold
+        assert sum(seen) == sampled
+
+
+def test_unhashable_field_is_sampled_without_memo(q_fast):
+    # an evaluator that cannot be hashed makes the field unhashable: the
+    # routes then sample on every call and give the same values
+    class Eval:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, v):
+            return self.fn(v)
+
+        def __eq__(self, other):  # no __hash__: instances are unhashable
+            return self is other
+
+    base = bump_field(center=[0.3, 0.0, 0.0], radius=1.1)
+    counted, seen = counting(base)
+    f = dataclasses.replace(counted, eval=Eval(counted.eval))
+    v = np.array([0.5, 0.2, 0.0])
+    for route in (q_boltzmann_sigma, q_boltzmann_carleman):
+        expect = [route(base, v, k, q_fast) for k in SWEEP_KERNELS]
+        for k, value in zip(SWEEP_KERNELS, expect):
+            before = sum(seen)
+            assert route(f, v, k, q_fast) == value
+            assert sum(seen) > before

@@ -10,6 +10,7 @@ from collkit.util import (
     orthonormal_complement,
     sphere_area,
     sphere_antipodes,
+    sphere_pair_classes,
     sphere_rule,
     splitmix64,
 )
@@ -124,6 +125,24 @@ def test_sphere_rule_antipodal_bit_for_bit(dim, n_polar):
     assert np.array_equal(np.sort(antipode), np.arange(len(pts)))
     assert np.array_equal(pts[antipode], -pts)
     assert np.array_equal(w[antipode], w)
+
+
+@pytest.mark.parametrize("dim,n_polar", [(3, 8), (3, 5), (2, 1), (2, 8)])
+def test_sphere_pair_classes(dim, n_polar):
+    # the classes partition all N^2 pairs; within a class, -s . o agrees to
+    # 1e-15 and w_s * w_o exactly, and the representative is a member
+    pts, w = sphere_rule(dim, n_polar)
+    classes, (rep_s, rep_o) = sphere_pair_classes(dim, n_polar)
+    n = len(pts)
+    assert classes.shape == (n * n,)
+    assert np.array_equal(np.unique(classes), np.arange(len(rep_s)))
+    cos_t = -(pts @ pts.T).ravel()
+    w_pair = np.outer(w, w).ravel()
+    assert np.array_equal(classes[rep_s * n + rep_o], np.arange(len(rep_s)))
+    for c in range(len(rep_s)):
+        members = classes == c
+        assert np.all(np.abs(cos_t[members] - cos_t[rep_s[c] * n + rep_o[c]]) <= 1e-15)
+        assert np.all(w_pair[members] == w[rep_s[c]] * w[rep_o[c]])
 
 
 def test_panel_interval_validation():

@@ -109,6 +109,13 @@ def _memo_last(build):
     return call
 
 
+def _read_only(*arrays):
+    """``arrays``, made read-only: memoized samples are shared by every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # sigma-representation
 
@@ -144,7 +151,7 @@ def _sigma_samples(f, v, q):
         sums[i] = np.bincount(classes, weights=vals.ravel(), minlength=len(rep_s))
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -np.einsum("ck,ck->c", sigma[rep_s], omega[rep_o])
-    return r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o]
+    return _read_only(r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o])
 
 
 def q_boltzmann_sigma(f, v, k, q):
@@ -205,6 +212,7 @@ def _carleman_samples(f, v, q):
         vp = v + (u[i] * x)[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
         inner[i] = np.sum(f(vp) - f_v, axis=2) @ plane_w[i, live]
     tilt = plane_w @ np.sum(dirs, axis=1)      # (Nu, 3)
+    _read_only(u, wu, w_eta, f_outer, x, wx, inner, tilt)
     return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner, tilt
 
 

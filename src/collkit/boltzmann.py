@@ -136,19 +136,22 @@ def _sigma_samples(f, v, q):
     # the rule is antipodal bit for bit: row antipode[s] is -sigma[s]
     antipode = sphere_antipodes(dim, n_polar)
     half = np.flatnonzero(np.arange(len(sigma)) < antipode)
-    rows = np.concatenate([half, antipode[half]])
     classes, (rep_s, rep_o) = sphere_pair_classes(dim, n_polar)
+    classes = classes.reshape(len(sigma), len(omega))
+    # a pair (sigma, omega) and its antipodal pair (-sigma, omega) have the
+    # same value, so each value is binned into both of their classes
+    pair_classes = np.concatenate([classes[half], classes[antipode[half]]]).ravel()
     f_v = float(f(v))
     f_star = f(pts)                               # (Nr, Nom): f(v_*) = f(v + r omega)
-    f_vp = np.empty((len(sigma), len(omega)))
     sums = np.empty((len(r), len(rep_s)))
     for i in range(len(r)):
         # v'_*(sigma) = v'(-sigma) exactly, so the map's two outputs on half
-        # the rows are every row of v', and f(v'_*) is a row permutation
+        # the rows are v' and v'_* there, and the rows of -sigma swap them
         vp = post_collision_map(v, pts[i][None], sigma[half, None], r[i])
-        f_vp[rows] = f(np.concatenate(vp))
-        vals = f_vp * f_vp[antipode] - f_v * f_star[i][None, :]
-        sums[i] = np.bincount(classes, weights=vals.ravel(), minlength=len(rep_s))
+        f_vp, f_vps = f(np.concatenate(vp)).reshape(2, len(half), len(omega))
+        vals = (f_vp * f_vps - f_v * f_star[i]).ravel()
+        sums[i] = np.bincount(pair_classes, weights=np.concatenate([vals, vals]),
+                              minlength=len(rep_s))
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -np.einsum("ck,ck->c", sigma[rep_s], omega[rep_o])
     return _read_only(r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o])

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import List
 
 import numpy as np
+import scipy.fft
 
 from .exceptions import RunAbortedError, UnsupportedParameterError
 from .util import sphere_area
@@ -163,14 +164,15 @@ class _CoefficientEngine:
 
     Kernel transforms are computed once; each coefficient refresh costs one
     forward transform of the field plus one inverse transform per component,
-    pruned to the rows the kept output needs.
+    pruned to the rows the kept output needs.  The pruned inverse runs in
+    place on scipy.fft (overwrite_x), which skips a copy of the spectrum
+    product per axis; the forward transform and the kernel spectra stay on
+    numpy.fft, because scipy's rfftn was slower there and not bit-identical.
     """
 
     def __init__(self, n, h, gamma):
-        from scipy.fft import next_fast_len
-
         self.n, self.h, self.gamma = n, h, gamma
-        self.size = next_fast_len(2 * n - 1)
+        self.size = scipy.fft.next_fast_len(2 * n - 1)
         self.shape = (self.size,) * 3
         self.axes = (0, 1, 2)
         kernels, c_kernel = _kernel_arrays(self.size, h, gamma)
@@ -182,11 +184,15 @@ class _CoefficientEngine:
 
     def _conv(self, val_hat, kern_hat):
         # irfftn one axis at a time, dropping the rows no kept output needs
-        # before the next axis: the same 1-D transforms as irfftn(...)[:n]^3
+        # before the next axis: the same 1-D transforms as irfftn(...)[:n]^3.
+        # Each transform overwrites its input, which is always the fresh
+        # product or a slice of the previous transform's output, never a
+        # cached spectrum.
         n, L = self.n, self.size
-        out = np.fft.ifft(val_hat * kern_hat, axis=0)[:n]
-        out = np.fft.ifft(out, axis=1)[:, :n]
-        return np.fft.irfft(out, L, axis=2)[:, :, :n] * self.h**3
+        out = scipy.fft.ifft(val_hat * kern_hat, axis=0, overwrite_x=True)[:n]
+        out = scipy.fft.ifft(out, axis=1, overwrite_x=True)[:, :n]
+        out = scipy.fft.irfft(out, L, axis=2, overwrite_x=True)
+        return out[:, :, :n] * self.h**3
 
     def coefficients(self, values):
         val_hat = np.fft.rfftn(values, self.shape, axes=self.axes)

@@ -271,3 +271,25 @@ def test_coefficient_engine_matches_direct_sum(n, fft_len, gamma):
         err = np.max(np.abs(a[key] - a_ref[key])) / np.max(np.abs(a_ref[key]))
         assert err <= 1e-12, key
     assert np.max(np.abs(c - c_ref)) / np.max(np.abs(c_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.0])
+def test_coefficient_engine_leaves_inputs_and_spectra_intact(gamma):
+    # the inverse transforms overwrite their inputs; a refresh must still
+    # leave the field and the cached kernel spectra as they were
+    n = 8
+    values = np.random.default_rng(7).random((n, n, n))
+    values_before = values.copy()
+    engine = _CoefficientEngine(n, 0.7, gamma)
+    hats_before = {key: kh.copy() for key, kh in engine.kernel_hats.items()}
+    c_hat_before = None if engine.c_hat is None else engine.c_hat.copy()
+    a1, c1 = engine.coefficients(values)
+    a2, c2 = engine.coefficients(values)
+    assert all(np.array_equal(a1[key], a2[key]) for key in a1)
+    assert np.array_equal(c1, c2)
+    assert np.array_equal(values, values_before)
+    assert all(np.array_equal(engine.kernel_hats[key], kh) for key, kh in hats_before.items())
+    if c_hat_before is None:
+        assert engine.c_hat is None
+    else:
+        assert np.array_equal(engine.c_hat, c_hat_before)

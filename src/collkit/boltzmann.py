@@ -56,6 +56,9 @@ A field that cannot be hashed is sampled without the memo.
   The first-order Taylor term of a non-cutoff kernel, rho dir . grad f(v),
   needs no field point: its azimuthal sum is rho (sum of dir) . grad f(v).
 
+:func:`collision_frequency_scale` is the size of the gain and loss terms
+separately, against which the error of a point value is measured.
+
 Both routes reject a field or point whose dimension is not the kernel's
 before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).  The
 Carleman route also rejects gamma <= -d, and a non-cutoff kernel on a field
@@ -63,13 +66,16 @@ without an exact gradient, before any sampling.
 """
 
 import functools
+import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_convolution, polar_nodes
 from .util import (
-    circle_rule, graded_panels, orthonormal_complement, sphere_antipodes, sphere_pair_classes,
+    circle_rule, graded_panels, orthonormal_complement, sphere_antipodes, sphere_area,
+    sphere_pair_classes,
 )
 
 
@@ -251,3 +257,22 @@ def q_boltzmann_carleman(f, v, k, q):
     # wu already carries the radial measure u^{d-1}; the plane's is rho d rho
     qs = w_phi * np.sum((wu * u)[:, None] * wx * rho * b2 * inner)
     return float(qs + qns)
+
+
+# ---------------------------------------------------------------------------
+# Error scale
+
+
+def collision_frequency_scale(f, v, k, q):
+    """f(v) * (angular mass of b) * (f * |.|^gamma)(v), valid down to gamma = -d.
+
+    The size of the gain and loss terms separately: the scale against which a
+    Boltzmann point value's error is measured.  The convolution is the polar
+    rule's sum without :func:`collkit.landau.polar_convolution`'s
+    integrability check, so at gamma = -d it is still a finite scale.
+    """
+    pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
+    conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
+    ang, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),
+                  0.0, math.pi)
+    return float(f(v)) * sphere_area(k.dim - 1) * ang * conv

@@ -21,7 +21,11 @@ Contents:
   in one call.  On the plane z = e + rho*ehat it uses
   |z|^2 = 1 + rho*(2 e.ehat + rho), i.e. log|z| = log1p(...)/2, so |z| is
   never formed and |z|^{-m} = exp(-m log|z|) keeps full precision near
-  z = e;
+  z = e.  The plane's rule (radii, weights, cos/sin of the azimuths) is
+  built once per quadrature scheme and held read-only
+  (:func:`_hyperplane_rule`), and the full-size arithmetic runs over
+  blocks of rows sized by ``_BLOCK_ELEMENTS`` so that its buffers stay in
+  cache;
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
 
 Search resolutions are fixed, and each report records the ones it used.
@@ -30,13 +34,14 @@ Boltzmann m0: probes double up to m = 200, stop at hi - lo <= 1e-4 max(1, lo).
 Boltzmann delta: worst of 64 angles in [0, pi], stop at hi - lo <= 1e-3 hi.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .boltzmann import plane_rule, q_boltzmann_carleman
+from .boltzmann import _read_only, plane_rule, q_boltzmann_carleman
 from .core import _norm_sample_points
 from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
@@ -44,6 +49,16 @@ from .util import bracket, geometric_panels, orthonormal_complement
 
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
+# Elements of one (rows, Nr, Nphi) block of the hyperplane integral (7 rows
+# at the default scheme).  2**15 doubles are 256 KB, so the two work buffers
+# stay in a core's L2 cache through the ~11 elementwise passes; a whole
+# delta-scan batch, (64, 192, 24), is 2.4 MB per buffer and runs each pass
+# from memory.
+_BLOCK_ELEMENTS = 2**15
+
+# the Landau sup's angle grid does not depend on delta
+_COS_PSI, _SIN_PSI = _read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
+                                np.sin(np.linspace(0.0, np.pi, _GRID_N)))
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,21 @@ def contact_estimate_check(cfg, k, q):
 # Landau small-velocity integrand
 
 
+def _require_finite(**values):
+    """Raise ValueError naming the first argument that is, or holds, a NaN or an infinity."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            shown = f", got {value}" if np.ndim(value) == 0 else " in every entry"
+            raise ValueError(f"{name} must be finite{shown}")
+
+
+def _landau_g(z0, z2, m, d, gamma):
+    """G from z = e - w: its first coordinate z0 and its squared norm z2."""
+    # Pi(z)e.e = 1 - (z.e)^2/|z|^2
+    pi_ee = 1.0 - z0**2 / z2
+    return m * z2 * ((m + 2.0) * pi_ee - (d - 1.0)) + (d - 1.0) * (d + gamma)
+
+
 def landau_integrand_g(w, m, d, gamma):
     """G(w) = m|e-w|^2 [(m+2) Pi(e-w)e.e - (d-1)] + (d-1)(d+gamma).
 
@@ -172,27 +202,28 @@ def landau_integrand_g(w, m, d, gamma):
     e = np.zeros(d)
     e[0] = 1.0
     z = e - w
-    z2 = np.sum(z * z, axis=-1)
-    # Pi(z)e.e = 1 - (z.e)^2/|z|^2
-    pi_ee = 1.0 - z[..., 0] ** 2 / z2
-    return m * z2 * ((m + 2.0) * pi_ee - (d - 1.0)) + (d - 1.0) * (d + gamma)
+    return _landau_g(z[..., 0], np.sum(z * z, axis=-1), m, d, gamma)
 
 
 def landau_integrand_sup(m, d, gamma, delta):
     """Sup of G over the ball |w| <= delta, on a polar (radius, angle) grid.
 
-    By rotational symmetry about e the domain is two-dimensional.
+    By rotational symmetry about e the domain is two-dimensional: on the
+    (96, 96) grid w = rho (cos psi, sin psi, 0, ...), z = e - w has
+    z0 = 1 - rho cos psi and squared norm z0^2 + (rho sin psi)^2, so no
+    d-vector is formed.
     """
+    _require_finite(m=m, gamma=gamma)
+    if d < 2:
+        raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if m <= 0:
         raise ValueError("m must be positive")
-    rho = np.linspace(0.0, delta, _GRID_N)
-    psi = np.linspace(0.0, np.pi, _GRID_N)
-    w = np.zeros((_GRID_N, _GRID_N, d))
-    w[..., 0] = rho[:, None] * np.cos(psi)[None, :]
-    w[..., 1] = rho[:, None] * np.sin(psi)[None, :]
-    return float(np.max(landau_integrand_g(w, m, d, gamma)))
+    rho = np.linspace(0.0, delta, _GRID_N)[:, None]
+    z0 = 1.0 - rho * _COS_PSI
+    z1 = rho * _SIN_PSI
+    return float(np.max(_landau_g(z0, z0 * z0 + z1 * z1, m, d, gamma)))
 
 
 def landau_delta_search(m, d, gamma):
@@ -203,8 +234,7 @@ def landau_delta_search(m, d, gamma):
     10^-14 ... 10^0 (capped at 0.999) and geometric midpoints; the
     certificate reuses its evaluations.
     """
-    if not (np.isfinite(m) and np.isfinite(gamma)):
-        raise ValueError(f"m and gamma must be finite, got m = {m}, gamma = {gamma}")
+    _require_finite(m=m, gamma=gamma)
     if d < 2:
         raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
     if m <= d + gamma:
@@ -233,6 +263,21 @@ def landau_delta_search(m, d, gamma):
 # Boltzmann hyperplane integral
 
 
+@functools.lru_cache(maxsize=1)
+def _hyperplane_rule(q):
+    """(rho, w_rho, cos_phi, sin_phi, w_phi) of the hyperplane integral, once per scheme.
+
+    The graded head of :func:`collkit.boltzmann.plane_rule` on [0, 1] and a
+    geometric tail on [1, 1e4]; rho and w_rho (which carries the plane's
+    measure rho) have shape (Nr, 1).  Read-only, since every call shares them.
+    """
+    rho_h, w_h, phi, w_phi = plane_rule(q)
+    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
+    rho = np.concatenate([rho_h, rho_t])[:, None]
+    w_rho = np.concatenate([w_h, w_t])[:, None] * rho
+    return _read_only(rho, w_rho, np.cos(phi), np.sin(phi)) + (w_phi,)
+
+
 def boltzmann_hyperplane_integral(m, w, k, q):
     """Inner hyperplane integral of the Boltzmann contact argument.
 
@@ -242,11 +287,11 @@ def boltzmann_hyperplane_integral(m, w, k, q):
         [ (|z|^{-m} r^{2-d+gamma} - |e-w|^{gamma+d} r^{-2(d-1)}) b(|e-z|/r)
           + |z|^{-m} r^{2-d+gamma} b(|e-w|/r) ] dz.
 
-    ``w`` has shape (..., 3) with every row |w| < 1/2; the result has shape
-    ``w.shape[:-1]``, one integral per row, and a single point of shape (3,)
-    gives a float.  Scans over many w (the delta search) should pass them in
-    one call: the radial rule is built once and the arithmetic runs over all
-    rows together.
+    ``w`` has shape (..., 3) with every row finite and |w| < 1/2; the result
+    has shape ``w.shape[:-1]``, one integral per row, and a single point of
+    shape (3,) gives a float.  Scans over many w (the delta search) should
+    pass them in one call: the rule comes from :func:`_hyperplane_rule`,
+    built once per scheme, and b is evaluated once for all rows.
 
     The plane is parametrised as z = e + rho*ehat with ehat a unit vector
     orthogonal to (e - w), so |z|^2 = 1 + rho*(2 e.ehat + rho) and
@@ -255,6 +300,13 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     A = |e-w|^{gamma+d} r^{-2(d-1)} and
     Delta = -m log|z| + (d+gamma) log(r/|e-w|), which is exact and keeps
     full precision where the non-cutoff kernel is largest.
+
+    The (rows, Nr, Nphi) arithmetic runs over blocks of at most
+    ``_BLOCK_ELEMENTS`` elements, in two buffers reused by every block, so
+    that it runs from cache.  Each row is still summed on its own over the
+    same (Nr, Nphi) layout, so the values do not depend on the block size.
+    Every check runs before any block: a bad row raises before a value is
+    computed, and a non-finite result raises after the last.
     """
     d = k.dim
     if d != 3:
@@ -262,6 +314,7 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != (d,):
         raise ValueError(f"w must have shape (..., {d}), got {w.shape}")
+    _require_finite(m=m, w=w)
     batch = w.shape[:-1]
     w = w.reshape(-1, d)
     if np.any(np.linalg.norm(w, axis=-1) >= 0.5):
@@ -270,12 +323,12 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     q_ew = np.linalg.norm(ew, axis=-1)[:, None, None]              # |e - w|, (B, 1, 1)
     e1, e2 = orthonormal_complement(ew / q_ew[:, :, 0])
 
-    rho_h, w_h, phi, w_phi = plane_rule(q)
-    rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
-    rho = np.concatenate([rho_h, rho_t])[:, None]                 # (Nr, 1)
-    w_rho = np.concatenate([w_h, w_t])[:, None] * rho
-
-    e_ehat = (np.cos(phi) * e1[:, :1] + np.sin(phi) * e2[:, :1])[:, None, :]
+    rho, w_rho, cos_phi, sin_phi, w_phi = _hyperplane_rule(q)
+    two_e_ehat = 2.0 * (cos_phi * e1[:, :1] + sin_phi * e2[:, :1])[:, None, :]
+    rows = max(1, _BLOCK_ELEMENTS // (len(rho) * len(cos_phi)))
+    log_z = np.empty((min(rows, len(w)), len(rho), len(cos_phi)))
+    term = np.empty_like(log_z)
+    out = np.empty(len(w))
 
     with np.errstate(over="ignore", invalid="ignore"):
         # phi-free factors, shape (B, Nr, 1)
@@ -284,18 +337,21 @@ def boltzmann_hyperplane_integral(m, w, k, q):
         loss = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0)) * k.b(rho / r) * w_rho
         gain = r ** (2.0 - d + k.gamma) * k.b(q_ew / r) * w_rho
 
-        # two full-size (B, Nr, Nphi) buffers: -m log|z|, then the two terms
-        log_z = np.add(2.0 * e_ehat, rho)
-        log_z *= rho
-        np.log1p(log_z, out=log_z)
-        log_z *= -0.5 * m
-        term = np.add(log_z, shift)
-        np.expm1(term, out=term)
-        term *= loss
-        np.exp(log_z, out=log_z)
-        log_z *= gain
-        term += log_z
-        out = np.sum(term, axis=(1, 2)) * w_phi
+        for start in range(0, len(w), rows):
+            blk = slice(start, start + rows)
+            lz, t = log_z[:len(out[blk])], term[:len(out[blk])]
+            # -m log|z| in lz, then the two terms summed in t
+            np.add(two_e_ehat[blk], rho, out=lz)
+            lz *= rho
+            np.log1p(lz, out=lz)
+            lz *= -0.5 * m
+            np.add(lz, shift[blk], out=t)
+            np.expm1(t, out=t)
+            t *= loss[blk]
+            np.exp(lz, out=lz)
+            lz *= gain[blk]
+            t += lz
+            out[blk] = np.sum(t, axis=(1, 2)) * w_phi
     if not np.all(np.isfinite(out)):
         # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77;
         # this check reports it, so numpy does not warn of it above
@@ -347,8 +403,6 @@ def boltzmann_delta_search(m, k, q):
     """
     if k.operator != "boltzmann":
         raise ValueError("boltzmann_delta_search requires a Boltzmann kernel")
-    if not np.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
     origin = boltzmann_hyperplane_integral(m, np.zeros(k.dim), k, q)
     if origin >= 0.0:
         raise InfeasibleError(f"m = {m} is not above m0: origin integral I(m, 0) = "

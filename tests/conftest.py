@@ -1,13 +1,8 @@
-import math
-
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from collkit import KernelSpec, QuadratureScheme
 from collkit.fields import gaussian_field
-from collkit.landau import polar_nodes
-from collkit.util import sphere_area
 
 
 def b_ones(x):
@@ -16,19 +11,6 @@ def b_ones(x):
 
 def b_cos2(x):
     return 1.0 - np.asarray(x, dtype=float) ** 2
-
-
-def collision_frequency_scale(f, v, k, q):
-    """f(v) * (angular mass of b) * (f * |.|^gamma)(v), valid down to gamma = -d.
-
-    The size of the gain and loss terms separately: the scale against which a
-    Boltzmann point value's error is measured.
-    """
-    pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
-    conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
-    ang, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),
-                  0.0, math.pi)
-    return float(f(v)) * sphere_area(k.dim - 1) * ang * conv
 
 
 def landau_a_bar_g0(v, u, theta, rho):

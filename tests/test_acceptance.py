@@ -29,13 +29,14 @@ from collkit import (
     riccati_check,
     weighted_sup_norm,
 )
+from collkit.boltzmann import collision_frequency_scale
 from collkit.fields import gaussian_field
 from collkit.hydro import LAMBDA_ENVELOPE, critical_gamma, load_catalog
 from collkit.landau import landau_coefficients
 from collkit.solver import homog_run, make_gaussian_grid
 from collkit.verify import landau_integrand_g
 
-from conftest import b_cos2, b_ones, collision_frequency_scale
+from conftest import b_cos2, b_ones
 
 
 def report(num, ok, detail):

@@ -17,10 +17,11 @@ from collkit import (
     q_boltzmann_sigma,
     q_landau,
 )
+from collkit.boltzmann import collision_frequency_scale
 from collkit.fields import bump_field, gaussian_field
 from collkit.landau import polar_nodes
 
-from conftest import b_cos2, b_ones, collision_frequency_scale
+from conftest import b_cos2, b_ones
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,56 @@ def test_scaling_law_boltzmann():
         rhs = lam ** (-3.0 - 0.0) * q_boltzmann_carleman(f, lam * v, k, q)
         scale = abs(rhs) + collision_frequency_scale(f_lam, v, k, q)
         assert abs(lhs - rhs) <= 2e-4 * scale
+
+
+def bkw_field(K):
+    """The BKW solution f_K of the Maxwell-molecule Boltzmann equation, and d f_K / dK.
+
+    f_K(v) = (2 pi K)^{-3/2} e^{-|v|^2/(2K)} [(5K - 3)/K + (1 - K)|v|^2/K^2] / 2
+    has mass 1 and temperature 1, is nonnegative for K >= 3/5, and with
+    gamma = 0, b = 1/(4 pi) and K(t) = 1 - e^{-t/6} solves the equation:
+    Q(f_K, f_K) = (1 - K)/6 * d f_K / dK at every point (Bobylev 1975;
+    Krook-Wu 1976).
+    """
+    def parts(v):
+        s = np.sum(np.asarray(v, dtype=float) ** 2, axis=-1)
+        g = (2.0 * np.pi * K) ** -1.5 * np.exp(-s / (2.0 * K))
+        return s, g, 0.5 * ((5.0 * K - 3.0) / K + (1.0 - K) * s / K**2)
+
+    def ev(v):
+        _, g, h = parts(v)
+        return g * h
+
+    def d_dk(v):
+        s, g, h = parts(v)
+        dh = 0.5 * (3.0 / K**2 - 2.0 * s / K**3 + s / K**2)
+        return g * ((s / (2.0 * K * K) - 1.5 / K) * h + dh)
+
+    r = np.linspace(0.0, 20.0, 4001)
+    amp = 1.01 * float(np.max((1.0 + r * r) ** 6 * ev(r[:, None] * [1.0, 0.0, 0.0])))
+    return VelocityField(dim=3, eval=ev, decay_exponent=12.0, amplitude=amp), d_dk
+
+
+# |v| and the relative error allowed there: 5x the larger of the sigma and
+# Carleman errors measured at K = 0.7 and scheme (8, 8, 10) (ROADMAP, item 2),
+# rounded up.  Q changes sign near |v| = 1.16, and at |v| = 2 both routes
+# lose accuracy in the radial tail.
+BKW_TOLERANCES = [(0.0, 1e-7), (0.5, 3e-7), (1.16, 4e-5), (2.0, 3e-3)]
+
+
+@pytest.mark.parametrize("route", [q_boltzmann_sigma, q_boltzmann_carleman],
+                         ids=lambda r: r.__name__)
+def test_bkw_exact_oracle(route):
+    K = 0.7
+    f, d_dk = bkw_field(K)
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann",
+                   b=lambda x: np.full(np.shape(x), 1.0 / (4.0 * np.pi)))
+    q = QuadratureScheme(radial_nodes=8, angular_nodes=8, hyperplane_nodes=10)
+    for speed, tol in BKW_TOLERANCES:
+        v = np.array([speed, 0.0, 0.0])
+        exact = (1.0 - K) / 6.0 * float(d_dk(v))
+        got = route(f, v, k, q)
+        assert abs(got - exact) <= tol * abs(exact), (speed, got, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,28 @@ def test_integrand_sup_domain_errors():
         landau_integrand_sup(5.0, 3, 0.0, 1.5)
     with pytest.raises(ValueError):
         landau_integrand_sup(-1.0, 3, 0.0, 0.5)
+    with pytest.raises(ValueError, match="d >= 2"):
+        landau_integrand_sup(5.0, 1, 0.0, 0.5)
+    with pytest.raises(ValueError, match="m must be finite"):
+        landau_integrand_sup(np.nan, 3, 0.0, 0.5)
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        landau_integrand_sup(5.0, 3, np.nan, 0.5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_integrand_sup_is_max_over_polar_grid(d):
+    # the sup works on the 2-D (radius, angle) grid; the same grid as d-vectors
+    # through landau_integrand_g gives the same value bit for bit
+    n = verify._GRID_N
+    for m, gamma, delta in [(10.0, -3.0, 0.3), (d + 0.5 + 1e-3, 0.5, 0.02),
+                            (3.1, 0.0, 0.97), (250.0, 1.0, 1e-7)]:
+        rho = np.linspace(0.0, delta, n)
+        psi = np.linspace(0.0, np.pi, n)
+        w_grid = np.zeros((n, n, d))
+        w_grid[..., 0] = rho[:, None] * np.cos(psi)[None, :]
+        w_grid[..., 1] = rho[:, None] * np.sin(psi)[None, :]
+        expected = float(np.max(landau_integrand_g(w_grid, m, d, gamma)))
+        assert landau_integrand_sup(m, d, gamma, delta) == expected
 
 
 def test_delta_search_feasible():
@@ -159,20 +181,58 @@ def test_hyperplane_batch_matches_per_point_formula(q_fast):
 
 
 def test_hyperplane_batch_shapes(q_fast, kernel_boltzmann_g0):
+    rho, _, cos_phi, _, _ = verify._hyperplane_rule(q_fast)
+    block = verify._BLOCK_ELEMENTS // (len(rho) * len(cos_phi))
+    assert 1 < block < 64
     rng = np.random.default_rng(12)
-    w = rng.normal(size=(6, 3))
-    w *= (0.4 / np.linalg.norm(w, axis=-1))[:, None]
-    batch = boltzmann_hyperplane_integral(7.0, w, kernel_boltzmann_g0, q_fast)
-    assert batch.shape == (6,)
+    w = rng.normal(size=(64, 3))
+    w *= (0.49 * rng.random(64) / np.linalg.norm(w, axis=-1))[:, None]
     single = [boltzmann_hyperplane_integral(7.0, row, kernel_boltzmann_g0, q_fast)
               for row in w]
     assert all(type(v) is float for v in single)
-    assert np.array_equal(batch, single)
-    grid = boltzmann_hyperplane_integral(7.0, w.reshape(2, 3, 3), kernel_boltzmann_g0, q_fast)
-    assert np.array_equal(grid, batch.reshape(2, 3))
-    w[4] = [0.0, 0.5, 0.0]
-    with pytest.raises(ValueError):
-        boltzmann_hyperplane_integral(7.0, w, kernel_boltzmann_g0, q_fast)
+    # blocking is invisible: every batch size gives each row's own value, bit for bit
+    for n in (1, block, block + 1, 64):
+        batch = boltzmann_hyperplane_integral(7.0, w[:n], kernel_boltzmann_g0, q_fast)
+        assert batch.shape == (n,)
+        assert np.array_equal(batch, single[:n])
+    n = block + 1
+    grid = boltzmann_hyperplane_integral(7.0, w[:2 * n].reshape(2, n, 3),
+                                         kernel_boltzmann_g0, q_fast)
+    assert np.array_equal(grid, np.reshape(single[:2 * n], (2, n)))
+    # a bad row in the last block raises before any value is returned
+    for bad in ([0.0, 0.5, 0.0], [np.nan, 0.0, 0.0]):
+        w_bad = w[:block + 1].copy()
+        w_bad[-1] = bad
+        with pytest.raises(ValueError):
+            boltzmann_hyperplane_integral(7.0, w_bad, kernel_boltzmann_g0, q_fast)
+
+
+def test_hyperplane_rejects_non_finite_input_before_computing(q_fast):
+    seen = []
+
+    def b_seen(x):
+        seen.append(x)
+        return b_ones(x)
+
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_seen)
+    seen.clear()  # the kernel's own setup evaluates b
+    for m in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="m must be finite"):
+            boltzmann_hyperplane_integral(m, np.zeros(3), k, q_fast)
+    w = np.zeros((5, 3))
+    w[3, 1] = np.nan
+    with pytest.raises(ValueError, match="w must be finite"):
+        boltzmann_hyperplane_integral(7.0, w, k, q_fast)
+    assert seen == []
+
+
+def test_hyperplane_rule_built_once_per_scheme(q_default, kernel_boltzmann_g0):
+    verify._hyperplane_rule.cache_clear()
+    boltzmann_m0_search(kernel_boltzmann_g0, q_default)
+    info = verify._hyperplane_rule.cache_info()
+    assert info.misses == 1 and info.hits > 10
+    rho, w_rho, cos_phi, sin_phi, _ = verify._hyperplane_rule(q_default)
+    assert not any(a.flags.writeable for a in (rho, w_rho, cos_phi, sin_phi))
 
 
 def test_m0_search_constant_kernel(q_default, kernel_boltzmann_g0):

@@ -53,16 +53,23 @@ A field that cannot be hashed is sampled without the memo.
   order.  Scope of the finiteness check: ``VelocityField`` rejects a
   non-finite value only at points it is asked for, so inner points on a
   zero-weight plane are not checked; every value that enters the sum is.
-  The first-order Taylor term of a non-cutoff kernel, rho dir . grad f(v),
-  needs no field point: its azimuthal sum is rho (sum of dir) . grad f(v).
+
+Why Q_s needs no regularization for a non-cutoff kernel.  Near rho = 0 the
+bracket is f(v') - f(v) = rho dir . grad f(v) + O(rho^2), and for
+b ~ x^{-2-2s} (0 < s < 1) the plane measure times B2 is ~ rho^{-1-2s}, so
+only the first-order term can make the plane integral diverge.  That term
+is odd in dir.  The inner azimuths are an even midpoint rule
+(:func:`collkit.util.circle_rule` with 2 * angular_nodes points), whose
+points come in antipodal pairs, so the term cancels on every circle
+rho = const and only the integrable O(rho^2) remainder is summed.  This
+rests on the azimuth count being even, which the code does not show.
 
 :func:`collision_frequency_scale` is the size of the gain and loss terms
 separately, against which the error of a point value is measured.
 
 Both routes reject a field or point whose dimension is not the kernel's
 before any quadrature (:meth:`collkit.core.KernelSpec.checked_point`).  The
-Carleman route also rejects gamma <= -d, and a non-cutoff kernel on a field
-without an exact gradient, before any sampling.
+Carleman route also rejects gamma <= -d before any sampling.
 """
 
 import functools
@@ -193,13 +200,12 @@ def plane_rule(q):
 def _carleman_samples(f, v, q):
     """Field samples of the Carleman route at the point ``v`` (a tuple; d = 3).
 
-    Returns (f_v, outer, f_outer, plane, inner, tilt): f(v); the outer rule
+    Returns (f_v, outer, f_outer, plane, inner): f(v); the outer rule
     (u, wu, w_eta) and the values f(v + u eta) on it; the plane rule
-    (x, wx, w_phi); per radial node i and inner radius rho = u_i x_j,
+    (x, wx, w_phi); and per radial node i and inner radius rho = u_i x_j,
     inner[i, j] = the sum over eta and the inner azimuths of
-    w_eta f(v + u_i eta) [f(v') - f(v)]; and tilt[i] = the sum over eta of
-    w_eta f(v + u_i eta) times the sum of the inner directions, which carries
-    the first-order Taylor term of a non-cutoff kernel.
+    w_eta f(v + u_i eta) [f(v') - f(v)].  The inner azimuth count is even,
+    so the first-order term of f(v') - f(v) cancels in each such sum.
     """
     v = np.array(v)
     f_v = float(f(v))
@@ -220,17 +226,17 @@ def _carleman_samples(f, v, q):
             continue
         vp = v + (u[i] * x)[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
         inner[i] = np.sum(f(vp) - f_v, axis=2) @ plane_w[i, live]
-    tilt = plane_w @ np.sum(dirs, axis=1)      # (Nu, 3)
-    _read_only(u, wu, w_eta, f_outer, x, wx, inner, tilt)
-    return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner, tilt
+    _read_only(u, wu, w_eta, f_outer, x, wx, inner)
+    return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner
 
 
 def q_boltzmann_carleman(f, v, k, q):
     """Collision operator as Q_s + Q_ns in Carleman coordinates.
 
-    Works for cutoff and non-cutoff kernels; for the latter the inner
-    integrand is Taylor-regularized inside |v' - v| < h0 (the odd first-order
-    term integrates to zero over the hyperplane).
+    Works for cutoff and non-cutoff kernels alike, with no regularization:
+    the inner azimuth count is even, so the odd first-order term of
+    f(v') - f(v), the one term that is not integrable against a non-cutoff
+    B2, cancels on every circle of the plane rule.
     """
     if k.operator != "boltzmann":
         raise ValueError("q_boltzmann_carleman requires a Boltzmann kernel")
@@ -241,19 +247,11 @@ def q_boltzmann_carleman(f, v, k, q):
     if k.gamma <= -d:
         raise UnsupportedParameterError(
             f"Carleman evaluation needs gamma > -{d}: the convolution of Q_ns diverges")
-    use_taylor = not k.is_cutoff
-    if use_taylor and f.grad_eval is None:
-        raise CapabilityError("non-cutoff Carleman evaluation needs an exact gradient")
-    f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner, tilt = _carleman_samples(
-        f, tuple(v), q)
+    f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner = _carleman_samples(f, tuple(v), q)
     qns = k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma, d)
     rho = u[:, None] * x[None, :]
     rr = np.sqrt(rho * rho + (u * u)[:, None])
     b2 = 2.0 ** (d - 1) * rr ** (k.gamma + 2.0 - d) * k.b_folded(rho / rr) / u[:, None]
-    if use_taylor:
-        grad_v = np.asarray(f.grad_eval(v), dtype=float)
-        taylor_zone = rho < q.regularization_radius
-        inner = inner - np.where(taylor_zone, rho * (tilt @ grad_v)[:, None], 0.0)
     # wu already carries the radial measure u^{d-1}; the plane's is rho d rho
     qs = w_phi * np.sum((wu * u)[:, None] * wx * rho * b2 * inner)
     return float(qs + qns)

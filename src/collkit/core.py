@@ -27,7 +27,8 @@ class VelocityField:
     ``f(v) <= amplitude * <v>**-decay_exponent``; they are metadata used for
     truncation-error estimates and are spot-checked, not enforced.
     ``inner_void_radius``, when set, declares f == 0 on the open ball of
-    that radius.
+    that radius.  ``hess_eval`` is optional: without it, :meth:`hessian`
+    uses central differences.
 
     Instances are immutable; all evaluations must be pure.  Equal fields
     therefore share samples: the Boltzmann routes reuse the values of
@@ -38,7 +39,6 @@ class VelocityField:
     eval: Callable[[np.ndarray], np.ndarray]
     decay_exponent: float
     amplitude: float
-    grad_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inner_void_radius: Optional[float] = None
 
@@ -114,7 +114,6 @@ class QuadratureScheme:
     radial_nodes:  panels in each graded radial rule (4-point Gauss per panel).
     angular_nodes: polar resolution of sphere rules (azimuthal is twice this).
     hyperplane_nodes: panels in hyperplane radial rules.
-    regularization_radius: Taylor zone for the singular Boltzmann term.
     rel_tol:       target relative tolerance, also sets finite-difference steps.
     """
 
@@ -123,16 +122,15 @@ class QuadratureScheme:
     radial_nodes: int = 12
     angular_nodes: int = 12
     hyperplane_nodes: int = 16
-    regularization_radius: float = 0.05
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.outer_radius > 1.0:
-            raise ValueError("outer_radius must exceed 1")
+        if not 1.0 < self.outer_radius < np.inf:
+            raise ValueError(f"outer_radius must be finite and exceed 1, got {self.outer_radius}")
         if not 0.0 < self.polar_radius < self.outer_radius:
             raise ValueError("need 0 < polar_radius < outer_radius")
-        if not 0.0 < self.regularization_radius < 0.5:
-            raise ValueError("need 0 < regularization_radius < 1/2")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"need 0 < rel_tol < 1, got {self.rel_tol}")
         for name in ("radial_nodes", "angular_nodes", "hyperplane_nodes"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
@@ -299,15 +297,6 @@ class Barrier:
         v = np.asarray(v, dtype=float)
         return self.alpha * self._b1_radial(np.linalg.norm(v, axis=-1))
 
-    def gradient(self, v):
-        v = np.asarray(v, dtype=float)
-        r = float(np.linalg.norm(v))
-        if r >= 0.5:
-            return -self.m * self.alpha * r ** (-self.m - 2) * v
-        c0, c1, c2 = self.inner_coeffs
-        s = r * r
-        return self.alpha * 2.0 * (c1 + 2.0 * c2 * s) * v
-
     def hessian(self, v):
         v = np.asarray(v, dtype=float)
         d = v.shape[-1]
@@ -327,7 +316,6 @@ class Barrier:
         return VelocityField(
             dim=dim,
             eval=lambda v: self.value(v),
-            grad_eval=self.gradient,
             hess_eval=self.hessian,
             decay_exponent=self.m,
             amplitude=1.05 * self.alpha * max(1.0, 2.0**self.m)

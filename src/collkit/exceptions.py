@@ -10,7 +10,7 @@ class EvaluationError(CollkitError):
 
 
 class CapabilityError(CollkitError):
-    """An operation needs data (gradient, hessian, cutoff kernel) the inputs lack."""
+    """An operation needs a cutoff kernel: the sigma route cannot evaluate a non-cutoff one."""
 
 
 class UnsupportedParameterError(CollkitError):

@@ -1,8 +1,8 @@
 """Ready-made velocity fields: Gaussians, compact bumps, and shell profiles.
 
 These are the standard inputs of the test and verification workflows.
-Each constructor returns a :class:`collkit.core.VelocityField` with analytic
-gradients where they are cheap to write down.
+Each constructor returns a :class:`collkit.core.VelocityField`; the Gaussian
+and the bump also carry analytic Hessians.
 """
 
 import numpy as np
@@ -22,9 +22,6 @@ def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
         dv = v - u
         return norm * np.exp(-np.sum(dv * dv, axis=-1) / (2.0 * theta))
 
-    def gr(v):
-        return -ev(v) / theta * (v - u)
-
     def he(v):
         dv = np.asarray(v, dtype=float) - u
         return ev(v) / theta * (np.outer(dv, dv) / theta - np.eye(dim))
@@ -33,7 +30,7 @@ def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
     m_decl = 12.0
     amp = norm * weighted_gaussian_peak(m_decl, float(np.linalg.norm(u)), theta) * 1.01
     return VelocityField(
-        dim=dim, eval=ev, grad_eval=gr, hess_eval=he,
+        dim=dim, eval=ev, hess_eval=he,
         decay_exponent=m_decl, amplitude=amp,
     )
 
@@ -57,15 +54,6 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
         return out
 
-    def gr(v):
-        v = np.asarray(v, dtype=float)
-        dv = (v - c) / radius
-        s = float(np.sum(dv * dv))
-        if s >= 1.0:
-            return np.zeros(dim)
-        val = amplitude * np.exp(1.0 - 1.0 / (1.0 - s))
-        return val * (-2.0 / (1.0 - s) ** 2) * dv / radius
-
     def he(v):
         v = np.asarray(v, dtype=float)
         dv = (v - c) / radius
@@ -85,7 +73,7 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
     far = np.linalg.norm(c) + radius
     amp = amplitude * (1.0 + far * far) ** (m_decl / 2.0)
     return VelocityField(
-        dim=dim, eval=ev, grad_eval=gr, hess_eval=he,
+        dim=dim, eval=ev, hess_eval=he,
         decay_exponent=m_decl, amplitude=float(amp),
     )
 

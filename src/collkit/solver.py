@@ -32,9 +32,15 @@ NEGATIVITY_LIMIT = 1e-12   # relative to max; larger dips abort the run
 CONTAINMENT_LIMIT = 1e-8   # boundary-ring mass relative to max
 
 
+def _check_grid(n, V):
+    """Reject a grid too small for the stencil or a box that is not finite and positive."""
+    if not (n >= 4 and 0.0 < V < np.inf):
+        raise ValueError(f"need n >= 4 and a finite V > 0, got n = {n}, V = {V}")
+
+
 @dataclass
 class GridField:
-    """Nonnegative values on the uniform grid v_i = -V + i*h, h = 2V/(n-1)."""
+    """Finite, nonnegative values on the uniform grid v_i = -V + i*h, h = 2V/(n-1)."""
 
     n: int
     V: float
@@ -45,8 +51,9 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.n,) * 3:
             raise ValueError("values must be an n^3 array")
-        if self.n < 4 or self.V <= 0:
-            raise ValueError("need n >= 4 and V > 0")
+        _check_grid(self.n, self.V)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("grid values must be finite")
 
     @property
     def h(self):
@@ -272,6 +279,11 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
         raise UnsupportedParameterError("solver supports the 3-D Landau operator only")
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
+    if not f0.time < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and exceed the start time {f0.time}, "
+                         f"got {t_end}")
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"weight exponent m must be finite and >= 0, got {m}")
     n, h, V = f0.n, f0.h, f0.V
     ax = f0.axes()
     coords = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -381,11 +393,16 @@ def make_gaussian_grid(n, V, rho=1.0, theta=1.0):
 
     theta may be a scalar or a 3-vector of per-axis temperatures; the
     anisotropic case gives a non-equilibrium state that relaxes toward the
-    Maxwellian with the mean temperature.
+    Maxwellian with the mean temperature.  rho = 0 gives the zero field.
     """
+    _check_grid(n, V)
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    th = np.broadcast_to(np.asarray(theta, dtype=float), (3,))
+    if not np.all((0.0 < th) & (th < np.inf)):
+        raise ValueError(f"theta must be finite and > 0 on every axis, got {th.tolist()}")
     ax = np.linspace(-V, V, n)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    th = np.broadcast_to(np.asarray(theta, dtype=float), (3,))
     expo = X**2 / th[0] + Y**2 / th[1] + Z**2 / th[2]
     vals = rho * ((2.0 * np.pi) ** 3 * np.prod(th)) ** -0.5 * np.exp(-0.5 * expo)
     gf = GridField(n=n, V=V, values=vals)

@@ -150,40 +150,21 @@ def test_dimension_mismatch_rejected_early(q_fast, route, field_dim, point_dim):
         route(f, np.zeros(point_dim), k, q_fast)
 
 
-def test_noncutoff_needs_exact_gradient(q_fast, maxwellian):
+def test_noncutoff_carleman_needs_only_eval(q_fast, maxwellian):
+    # a field with no derivative data: the non-cutoff route reads f alone
     k = KernelSpec(
         dim=3, gamma=0.0, operator="boltzmann",
         b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
-    no_grad = VelocityField(
+    eval_only = VelocityField(
         dim=3, eval=maxwellian.eval,
         decay_exponent=maxwellian.decay_exponent, amplitude=maxwellian.amplitude,
     )
-    with pytest.raises(CapabilityError):
-        q_boltzmann_carleman(no_grad, np.zeros(3), k, q_fast)
-
-
-def test_noncutoff_taylor_zone_insensitivity(maxwellian):
-    # halving the regularization radius must not move the value beyond the
-    # scheme's tolerance budget
-    k = KernelSpec(
-        dim=3, gamma=0.0, operator="boltzmann",
-        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
-    )
     v = np.array([0.7, 0.0, 0.0])
-    vals = []
-    for h0 in (0.05, 0.025):
-        q = QuadratureScheme(
-            radial_nodes=8, angular_nodes=8, hyperplane_nodes=12,
-            regularization_radius=h0, rel_tol=1e-4,
-        )
-        vals.append(q_boltzmann_carleman(maxwellian, v, k, q))
-    scale = abs(vals[0]) + collision_frequency_scale(
-        maxwellian, v,
-        KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones),
-        QuadratureScheme(radial_nodes=8, angular_nodes=8, hyperplane_nodes=12),
-    )
-    assert abs(vals[0] - vals[1]) <= 2e-4 * scale
+    val = q_boltzmann_carleman(eval_only, v, k, q_fast)
+    # b = x^-3 has no finite collision frequency, so the scale is that of b = 1
+    k_ones = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
+    assert abs(val) <= 1e-6 * collision_frequency_scale(eval_only, v, k_ones, q_fast)
 
 
 def test_scaling_law_boltzmann():
@@ -243,11 +224,20 @@ def test_bkw_exact_oracle(route):
     k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann",
                    b=lambda x: np.full(np.shape(x), 1.0 / (4.0 * np.pi)))
     q = QuadratureScheme(radial_nodes=8, angular_nodes=8, hyperplane_nodes=10)
+    errors = {}
     for speed, tol in BKW_TOLERANCES:
         v = np.array([speed, 0.0, 0.0])
         exact = (1.0 - K) / 6.0 * float(d_dk(v))
         got = route(f, v, k, q)
-        assert abs(got - exact) <= tol * abs(exact), (speed, got, exact)
+        errors[speed] = abs(got - exact)
+        assert errors[speed] <= tol * abs(exact), (speed, got, exact)
+    # one refinement of every node count cuts the radial-tail error at
+    # |v| = 2 at least 1000x: measured 5.4e-4 -> 3.9e-8 relative (sigma) and
+    # 2.8e-4 -> 1.0e-8 (Carleman) at (12, 12, 16)
+    fine = QuadratureScheme(radial_nodes=12, angular_nodes=12, hyperplane_nodes=16)
+    v = np.array([2.0, 0.0, 0.0])
+    got = route(f, v, k, fine)
+    assert abs(got - (1.0 - K) / 6.0 * float(d_dk(v))) <= 1e-3 * errors[2.0], got
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
         "[run]\ncommand = m0-search\nspeed = fast\n",
         "[run]\ncommand = m0-search\nseed = 3\n",
         "[run]\ncommand = m0-search\n\n[kernel]\noperator = boltzmann\nnoncutoff_s = 0.5\n",
+        "[run]\ncommand = boltzmann-eval\n\n[quadrature]\nregularization_radius = 0.05\n",
         # a section that belongs to another command
         "[run]\ncommand = m0-search\n\n[homog-run]\nn = 12\n",
         # values that cannot be read
@@ -221,6 +222,11 @@ def test_unknown_key_rejected(tmp_path, capsys):
         "[run]\ncommand = barrier-check\n\n[barrier-check]\nalpha = inf\n",
         "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = inf\n",
         "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = 1100\n",
+        # a tolerance outside (0, 1), and initial data that is not finite or
+        # not physical, are rejected before any work
+        "[run]\ncommand = landau-eval\n\n[quadrature]\nrel_tol = -1\n",
+        "[run]\ncommand = homog-run\n\n[homog-run]\nbox_radius = nan\n",
+        "[run]\ncommand = homog-run\n\n[homog-run]\ntheta = -1\n",
     ]
     for i, text in enumerate(bad_configs):
         code, out_dir = run_cli(tmp_path, text, out=f"out{i}")

@@ -241,14 +241,11 @@ def test_b_folded_convention(kernel_boltzmann_g0):
 
 
 def test_quadrature_invariants():
-    with pytest.raises(ValueError):
-        QuadratureScheme(outer_radius=0.5)
-    with pytest.raises(ValueError):
-        QuadratureScheme(polar_radius=9.0)
-    with pytest.raises(ValueError):
-        QuadratureScheme(radial_nodes=1)
-    with pytest.raises(ValueError):
-        QuadratureScheme(regularization_radius=0.7)
+    for bad in ({"outer_radius": 0.5}, {"outer_radius": np.inf}, {"outer_radius": np.nan},
+                {"polar_radius": 9.0}, {"radial_nodes": 1},
+                {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": 1.0}, {"rel_tol": np.nan}):
+        with pytest.raises(ValueError):
+            QuadratureScheme(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +261,6 @@ def test_field_validate_decay_bound():
     )
     with pytest.raises(EvaluationError):
         lying.validate()
-
-
-def test_field_gradient_matches_analytic():
-    g = gaussian_field()
-    v = np.array([0.7, -0.3, 0.2])
-    fd = np.array([(g(v + e) - g(v - e)) / 2e-6 for e in 1e-6 * np.eye(3)])
-    assert np.allclose(g.grad_eval(v), fd, atol=1e-7)
 
 
 def test_field_hessian_matches_analytic():

@@ -10,6 +10,9 @@ it takes; a parameter no body reads is an option that does nothing.
 collkit modules import each other only at module top level, so the import
 graph is the one the module headers show; an import inside a function can
 hide a cycle.
+
+Every ``QuadratureScheme`` field must be read as an attribute by some module
+outside the class itself; the CLI takes one ``[quadrature]`` key per field.
 """
 
 import ast
@@ -107,3 +110,43 @@ def test_checker_flags_an_unread_parameter():
 def test_public_functions_read_every_parameter(path):
     unread = [(path.name, fn, p) for fn, p in unread_parameters(path.read_text())]
     assert [u for u in unread if u not in UNREAD_ALLOWED] == []
+
+
+def dataclass_fields(source, cls):
+    """Names of the annotated fields of the top-level class ``cls``."""
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.ClassDef) and n.name == cls)
+    return [s.target.id for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def attributes_read(source, outside=None):
+    """Attribute names loaded anywhere in ``source``, except inside class ``outside``."""
+    tree = ast.parse(source)
+    inside = {id(n) for c in tree.body if isinstance(c, ast.ClassDef) and c.name == outside
+              for n in ast.walk(c)}
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+
+
+def unread_fields(sources, defining, cls):
+    """Fields of ``cls`` (defined in ``sources[defining]``) that no module reads outside it."""
+    read = set().union(*(attributes_read(src, outside=cls) for src in sources.values()))
+    return [name for name in dataclass_fields(sources[defining], cls) if name not in read]
+
+
+def test_checker_flags_an_unread_field():
+    sources = {
+        "core.py": ("class Scheme:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
+                    "    def check(self):\n        return self.b\n"),
+        "use.py": "def f(q):\n    q.c = 0\n    return q.a\n",
+    }
+    # b is read only by the class itself, c is only written
+    assert unread_fields(sources, "core.py", "Scheme") == ["b", "c"]
+
+
+def test_every_quadrature_field_is_read():
+    # the CLI accepts a [quadrature] key per field, so an unread field is a
+    # key that does nothing
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unread_fields(sources, "core.py", "QuadratureScheme") == []

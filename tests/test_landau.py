@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from collkit import KernelSpec, QuadratureScheme, UnsupportedParameterError, q_landau
 from collkit.fields import bump_field, gaussian_field
@@ -45,8 +46,6 @@ def test_singular_convolution_second_moment(q_fast, maxwellian):
 def test_singular_convolution_negative_power(q_fast, maxwellian):
     # |.|^{-1} against the Maxwellian: closed form erf(r/sqrt(2))/r
     v = np.array([1.2, 0.0, 0.0])
-    from scipy.special import erf
-
     expect = erf(1.2 / np.sqrt(2.0)) / 1.2
     got = singular_convolution(maxwellian, v, -1.0, q_fast)
     assert got == pytest.approx(expect, rel=1e-6)
@@ -77,18 +76,44 @@ def test_coefficients_coulomb_reaction(q_fast, maxwellian, k_gm3):
     assert co.c_bar == pytest.approx(8.0 * np.pi * float(maxwellian(v)), rel=1e-13)
 
 
-def test_coefficients_gaussian_closed_form(k_g0):
-    # moving Gaussian, gamma = 0: measured max relative a_bar error 1.9e-6,
-    # 7.2e-11 and 3.5e-12 (roundoff) at radial = angular nodes 8, 12 and 16
+def maxwellian_a_bar_coulomb(v):
+    """Exact Landau gamma = -3 diffusion matrix for the standard Maxwellian M; v != 0.
+
+    |z|^-1 Pi(z) is the Hessian of |z|, so a_bar = D^2 phi for the radial
+    phi(r) = (|.| * M)(r) = sqrt(2/pi) e^{-r^2/2} + (r + 1/r) erf(r/sqrt 2).
+    """
+    r = float(np.linalg.norm(v))
+    e = np.outer(v, v) / r**2
+    g, E = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * r * r), erf(r / np.sqrt(2.0))
+    d1 = (1.0 - 1.0 / r**2) * E + g / r
+    d2 = 2.0 * E / r**3 - 2.0 * g / r**2
+    return d2 * e + d1 / r * (np.eye(3) - e)
+
+
+def test_coefficients_gaussian_closed_form():
+    # max relative a_bar error measured at radial = angular nodes n, and the
+    # tolerance allowed, 5x that rounded up:
+    # - moving Gaussian, gamma = 0: 1.9e-6, 7.2e-11 and 3.5e-12 (roundoff)
+    #   at n = 8, 12 and 16, over all three points;
+    # - standard Maxwellian, gamma = -3, at |v| = 0.5, 1.04 and 2: 3.5e-10,
+    #   2.5e-10 and 1.2e-6 at n = 8, and 2.3e-11, 2.9e-11 and 6.5e-11 at n = 12
     u, theta, rho = np.array([0.6, -0.8, 0.0]), 0.5, 1.3
-    f = gaussian_field(rho=rho, u=u, theta=theta)
-    for n, tol in ((8, 5e-6), (12, 3e-10), (16, 2e-11)):
-        q = QuadratureScheme(radial_nodes=n, angular_nodes=n)
-        for v in ([0.5, 0.4, -0.3], [1.5, 0.0, 0.7], [0.0, 0.0, 0.0]):
-            co = landau_coefficients(f, v, k_g0, q)
-            exact = landau_a_bar_g0(v, u, theta * np.eye(3), rho)
-            assert np.max(np.abs(co.a_bar - exact)) <= tol * np.max(np.abs(exact)), (n, v)
-            assert co.c_bar == pytest.approx(6.0 * rho, rel=tol)
+    moving, maxwellian = gaussian_field(rho=rho, u=u, theta=theta), gaussian_field()
+    g0 = (0.0, moving, lambda v: landau_a_bar_g0(v, u, theta * np.eye(3), rho),
+          lambda v: 6.0 * rho)
+    coulomb = (-3.0, maxwellian, maxwellian_a_bar_coulomb,
+               lambda v: 8.0 * np.pi * float(maxwellian(v)))
+    cases = [(g0, n, v, tol) for n, tol in ((8, 5e-6), (12, 3e-10), (16, 2e-11))
+             for v in ([0.5, 0.4, -0.3], [1.5, 0.0, 0.7], [0.0, 0.0, 0.0])]
+    cases += [(coulomb, n, v, tol)
+              for n, tols in ((8, (1.8e-9, 1.3e-9, 6e-6)), (12, (1.2e-10, 1.5e-10, 3.3e-10)))
+              for v, tol in zip(([0.5, 0.0, 0.0], [0.6, 0.6, 0.6], [2.0, 0.0, 0.0]), tols)]
+    for (gamma, f, a_exact, c_exact), n, v, tol in cases:
+        k = KernelSpec(dim=3, gamma=gamma, operator="landau")
+        co = landau_coefficients(f, v, k, QuadratureScheme(radial_nodes=n, angular_nodes=n))
+        exact = a_exact(np.array(v))
+        assert np.max(np.abs(co.a_bar - exact)) <= tol * np.max(np.abs(exact)), (gamma, n, v)
+        assert co.c_bar == pytest.approx(c_exact(np.array(v)), rel=tol)
 
 
 def test_coefficients_positive_semidefinite(q_fast, k_g0):

@@ -6,6 +6,7 @@ import pytest
 from collkit import (
     GridField,
     KernelSpec,
+    QuadratureScheme,
     RunAbortedError,
     RunLog,
     UnsupportedParameterError,
@@ -175,6 +176,38 @@ def test_homog_run_argument_validation(q_fast, k_coulomb):
                      b=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     with pytest.raises(UnsupportedParameterError):
         homog_run(gf, k_b, q_fast, t_end=0.01, cfl=0.1)
+
+
+def _run_from(t_end=0.01, m=5.0):
+    gf = make_gaussian_grid(n=8, V=4.0, theta=0.3)
+    k = KernelSpec(dim=3, gamma=-3.0, operator="landau")
+    return homog_run(gf, k, QuadratureScheme(), t_end=t_end, cfl=0.1, m=m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GridField(n=8, V=np.nan, values=np.zeros((8, 8, 8))),
+    lambda: GridField(n=8, V=np.inf, values=np.zeros((8, 8, 8))),
+    lambda: GridField(n=8, V=4.0, values=np.full((8, 8, 8), np.nan)),
+    lambda: make_gaussian_grid(n=8, V=np.nan),
+    lambda: make_gaussian_grid(n=8, V=np.inf),
+    lambda: make_gaussian_grid(n=8, V=4.0, rho=np.nan),
+    lambda: make_gaussian_grid(n=8, V=4.0, rho=-1.0),
+    lambda: make_gaussian_grid(n=8, V=4.0, theta=np.nan),
+    lambda: make_gaussian_grid(n=8, V=4.0, theta=-1.0),
+    lambda: make_gaussian_grid(n=8, V=4.0, theta=(0.3, 0.0, 0.3)),
+    lambda: _run_from(t_end=np.nan),
+    lambda: _run_from(t_end=np.inf),
+    lambda: _run_from(t_end=0.0),
+    lambda: _run_from(m=np.nan),
+    lambda: _run_from(m=-1.0),
+], ids=["V-nan", "V-inf", "values-nan", "grid-V-nan", "grid-V-inf", "rho-nan", "rho-negative",
+        "theta-nan", "theta-negative", "theta-zero-axis", "t_end-nan", "t_end-inf",
+        "t_end-start", "m-nan", "m-negative"])
+def test_nonfinite_or_nonphysical_run_input_rejected(build):
+    # rejected before any step, instead of running on into NaN values,
+    # a NaN or zero-step log, or a RuntimeWarning
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_homog_run_conservation_and_positivity(q_fast, k_coulomb):

@@ -268,7 +268,11 @@ def collision_frequency_scale(f, v, k, q):
     Boltzmann point value's error is measured.  The convolution is the polar
     rule's sum without :func:`collkit.landau.polar_convolution`'s
     integrability check, so at gamma = -d it is still a finite scale.
+    A non-cutoff b has no finite angular mass, so it is rejected.
     """
+    if not k.is_cutoff:
+        raise ValueError("collision_frequency_scale needs a cutoff Boltzmann kernel; "
+                         "the angular mass of b diverges otherwise")
     pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
     conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
     ang, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),

@@ -10,6 +10,10 @@ cell-averaged there) and the kept output is the first n entries per axis.
 The kernels are even in z, so only the real part of each kernel transform
 is stored; it is the transform of the kernel's even part, which equals the
 kernel at every offset within +-(n-1) h that the kept output reads.
+The kernel spectra depend only on (n, h, gamma), so runs share them: the
+engines of the two most recent (n, h, gamma) are kept, about 13 MB of
+read-only spectra at n = 32, and a repeated run builds none.  Field
+transforms, forward and inverse, are pruned to the lines that carry data.
 
 Time stepping is explicit midpoint with the parabolic step restriction
 Delta t = cfl * h^2 / (2 d max||a_bar||) refreshed every step.
@@ -19,6 +23,7 @@ these logs feed the Gronwall-bound and Riccati-envelope checks.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import List
 
@@ -128,9 +133,12 @@ def _kernel_arrays(L, h, gamma):
     negative offsets in the upper half).  At z = 0 the angular average of the
     projection is (d-1)/d * Id and the radial factor is averaged over the
     equal-volume ball of radius a = h (3/(4 pi))^{1/3}.
+
+    The offset axes stay sparse (broadcast, never expanded); each kernel is
+    a full L^3 array.
     """
     k = ((np.arange(L) + L // 2) % L - L // 2) * h  # integer offsets times h
-    X, Y, Z = np.meshgrid(k, k, k, indexing="ij")
+    X, Y, Z = np.meshgrid(k, k, k, indexing="ij", sparse=True)
     r2 = X * X + Y * Y + Z * Z
     r2[0, 0, 0] = 1.0  # placeholder at the origin, overwritten below
     r = np.sqrt(r2)
@@ -169,25 +177,35 @@ class _CoefficientEngine:
     only offsets a kept output reads; this holds for odd and even L, and
     keeping the real part is exact up to roundoff.
 
-    Kernel transforms are computed once; each coefficient refresh costs one
-    forward transform of the field plus one inverse transform per component,
-    pruned to the rows the kept output needs.  The pruned inverse runs in
-    place on scipy.fft (overwrite_x), which skips a copy of the spectrum
-    product per axis; the forward transform and the kernel spectra stay on
-    numpy.fft, because scipy's rfftn was slower there and not bit-identical.
+    Kernel transforms are computed once, on numpy.fft, and stored
+    read-only: an engine is shared by every run on its grid and gamma (see
+    :func:`_engine`).  All kernels are built before any is transformed.
+    Transforming each as it is built lowers the build's peak by about 4 MB,
+    but then no freed block is left below the spectra, so the allocator
+    trims and re-faults the top of the heap on every solver step: 28 times
+    the page faults, and long runs about 20% slower, at n = 32.  Each
+    coefficient refresh costs one forward transform of the field plus one
+    inverse transform per component, both on scipy.fft and both pruned one
+    axis at a time to the lines that carry data: the forward transform
+    skips the all-zero lines of the padding, the inverse the rows no kept
+    output needs.  A step whose input is a fresh intermediate overwrites it
+    (overwrite_x), which skips a copy per axis; the field and the cached
+    spectra are never overwritten.  The pruned forward transform is
+    bit-identical to numpy's rfftn of the padded field.
     """
 
     def __init__(self, n, h, gamma):
         self.n, self.h, self.gamma = n, h, gamma
         self.size = scipy.fft.next_fast_len(2 * n - 1)
-        self.shape = (self.size,) * 3
-        self.axes = (0, 1, 2)
         kernels, c_kernel = _kernel_arrays(self.size, h, gamma)
         self.kernel_hats = {key: self._real_hat(K) for key, K in kernels.items()}
         self.c_hat = self._real_hat(c_kernel) if c_kernel is not None else None
 
-    def _real_hat(self, kernel):
-        return np.fft.rfftn(kernel, axes=self.axes).real.copy()
+    @staticmethod
+    def _real_hat(kernel):
+        hat = np.fft.rfftn(kernel).real.copy()
+        hat.setflags(write=False)
+        return hat
 
     def _conv(self, val_hat, kern_hat):
         # irfftn one axis at a time, dropping the rows no kept output needs
@@ -202,13 +220,31 @@ class _CoefficientEngine:
         return out[:, :, :n] * self.h**3
 
     def coefficients(self, values):
-        val_hat = np.fft.rfftn(values, self.shape, axes=self.axes)
+        # rfftn of the field zero-padded to L^3, one axis at a time: the
+        # last axis transforms the n^2 nonzero lines, the middle one the
+        # n (L/2 + 1) lines that are then nonzero, the first one all lines
+        L = self.size
+        val_hat = scipy.fft.rfft(values, L, axis=2)
+        val_hat = scipy.fft.fft(val_hat, L, axis=1, overwrite_x=True)
+        val_hat = scipy.fft.fft(val_hat, L, axis=0, overwrite_x=True)
         a = {key: self._conv(val_hat, kh) for key, kh in self.kernel_hats.items()}
         if self.gamma == -3.0:
             c = 2.0 * sphere_area(3) * values  # (d-1)|S^2| f = 8 pi f
         else:
             c = 2.0 * (3.0 + self.gamma) * self._conv(val_hat, self.c_hat)
         return a, c
+
+
+@functools.lru_cache(maxsize=2)
+def _engine(n, h, gamma):
+    """The coefficient engine of grid (n, h) and gamma, shared across runs.
+
+    The two most recently used engines are kept, enough for runs that
+    alternate between two kernels on one grid, such as Coulomb and
+    gamma = -2.  They hold 2 x (6-7) x L^2 (L/2 + 1) x 8 B of read-only
+    kernel spectra, about 13 MB at n = 32 (L = 63).
+    """
+    return _CoefficientEngine(n, h, gamma)
 
 
 def _second_derivatives(values, h, a):
@@ -290,7 +326,7 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
     brk = np.sqrt(1.0 + coords[0] ** 2 + coords[1] ** 2 + coords[2] ** 2)
     weights_m = brk**m
     weights_dpg = brk ** (3.0 + k.gamma)
-    engine = _CoefficientEngine(n, h, k.gamma)
+    engine = _engine(n, h, k.gamma)
 
     log = RunLog(m=m, gamma=k.gamma)
     field = GridField(n=n, V=V, values=f0.values.copy(), time=f0.time)

@@ -167,6 +167,16 @@ def test_noncutoff_carleman_needs_only_eval(q_fast, maxwellian):
     assert abs(val) <= 1e-6 * collision_frequency_scale(eval_only, v, k_ones, q_fast)
 
 
+def test_collision_frequency_scale_rejects_noncutoff(q_fast, maxwellian):
+    # b = x^-3 has no finite angular mass; quad used to return -1.249 here
+    k = KernelSpec(
+        dim=3, gamma=0.0, operator="boltzmann",
+        b=lambda x: np.asarray(x, dtype=float) ** -3.0,
+    )
+    with pytest.raises(ValueError, match="cutoff"):
+        collision_frequency_scale(maxwellian, np.array([0.7, 0.0, 0.0]), k, q_fast)
+
+
 def test_scaling_law_boltzmann():
     q = QuadratureScheme(radial_nodes=10, angular_nodes=10, hyperplane_nodes=12)
     k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)

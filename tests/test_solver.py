@@ -14,7 +14,8 @@ from collkit import (
     homog_run,
     riccati_check,
 )
-from collkit.solver import _CoefficientEngine, make_gaussian_grid
+from collkit import solver
+from collkit.solver import _CoefficientEngine, _kernel_arrays, make_gaussian_grid
 
 from conftest import landau_a_bar_g0
 
@@ -326,3 +327,88 @@ def test_coefficient_engine_leaves_inputs_and_spectra_intact(gamma):
         assert engine.c_hat is None
     else:
         assert np.array_equal(engine.c_hat, c_hat_before)
+
+
+# ---------------------------------------------------------------------------
+# Engine reuse across runs
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Empty engine cache; counts the engines built while the test runs."""
+    built = []
+    init = _CoefficientEngine.__init__
+
+    def counting_init(self, n, h, gamma):
+        built.append((n, h, gamma))
+        init(self, n, h, gamma)
+
+    monkeypatch.setattr(_CoefficientEngine, "__init__", counting_init)
+    solver._engine.cache_clear()
+    yield built
+    solver._engine.cache_clear()
+
+
+def _short_run(gamma, n=16, V=5.0):
+    gf = make_gaussian_grid(n=n, V=V, theta=(0.3, 0.45, 0.6))
+    k = KernelSpec(dim=3, gamma=gamma, operator="landau")
+    return homog_run(gf, k, QuadratureScheme(), t_end=1e-3, cfl=0.02)
+
+
+def test_homog_runs_share_one_engine_per_grid_and_gamma(engine_builds):
+    cold = _short_run(-2.0)
+    warm = _short_run(-2.0)
+    assert len(engine_builds) == 1
+    assert len(cold.t) >= 3
+    for name in ("t", "norm_m", "norm_dpg", "mass", "momentum", "energy", "negmax"):
+        assert getattr(warm, name) == getattr(cold, name), name
+
+
+def test_new_gamma_or_grid_builds_new_engine(engine_builds):
+    _short_run(-2.0)
+    _short_run(-3.0)
+    _short_run(-3.0, n=17)
+    _short_run(-3.0, V=5.5)
+    h = 2.0 * 5.0 / 15
+    assert engine_builds == [(16, h, -2.0), (16, h, -3.0), (17, 10.0 / 16, -3.0),
+                             (16, 11.0 / 15, -3.0)]
+
+
+def test_cached_kernel_spectra_are_read_only(engine_builds):
+    _short_run(-2.0)
+    engine = solver._engine(16, 2.0 * 5.0 / 15, -2.0)
+    assert len(engine_builds) == 1
+    for hat in (*engine.kernel_hats.values(), engine.c_hat):
+        with pytest.raises(ValueError):
+            hat[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.0, 1.0])
+def test_kernel_arrays_match_dense_construction(gamma):
+    # the kernels built on sparse offset grids against the same expressions
+    # on dense ones
+    L, h = 11, 0.7
+    k = ((np.arange(L) + L // 2) % L - L // 2) * h
+    X, Y, Z = np.meshgrid(k, k, k, indexing="ij")
+    r2 = X * X + Y * Y + Z * Z
+    r2[0, 0, 0] = 1.0
+    r = np.sqrt(r2)
+    rad = r ** (2.0 + gamma)
+    a_eq = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    dense = {}
+    for key, zi, zj in (("xx", X, X), ("yy", Y, Y), ("zz", Z, Z),
+                        ("xy", X, Y), ("xz", X, Z), ("yz", Y, Z)):
+        diag = key[0] == key[1]
+        K = rad * ((1.0 if diag else 0.0) - zi * zj / r2)
+        K[0, 0, 0] = 3.0 * a_eq ** (2.0 + gamma) / (5.0 + gamma) * (2.0 / 3.0 if diag else 0.0)
+        dense[key] = K
+    comps, radc = _kernel_arrays(L, h, gamma)
+    assert list(comps) == list(dense)
+    for key, K in comps.items():
+        assert np.array_equal(K, dense[key]), key
+    if gamma > -3.0:
+        dense_c = r**gamma
+        dense_c[0, 0, 0] = 3.0 * a_eq**gamma / (3.0 + gamma)
+        assert np.array_equal(radc, dense_c)
+    else:
+        assert radc is None

@@ -142,14 +142,14 @@ def _grazing_probe(integrand, upper):
     The integrand must be nonnegative, like b.  p is measured at two probe
     points before any quadrature, so that p <= -1 (divergence) is rejected
     rather than returned as a large number; an integrand that vanishes at
-    both probe points has no grazing singularity (p = inf).  The quadrature
-    then rejects what the probe points miss, such as a NaN b.
+    both probe points has no grazing singularity (p = inf).  A negative value,
+    NaN or infinity at any probed point is rejected first; quad catches the rest.
     """
     t1, t2 = 1e-6, 1e-5
     y1, y2 = integrand(t1), integrand(t2)
-    sample = integrand(upper * np.linspace(0.0, 1.0, 65)[1:])
-    if min(y1, y2, np.min(sample)) < 0.0:
-        raise KernelRejectionError("angular cross-section b is negative somewhere")
+    probed = np.append(integrand(upper * np.linspace(0.0, 1.0, 65)[1:]), (y1, y2))
+    if not np.all((probed >= 0.0) & np.isfinite(probed)):
+        raise KernelRejectionError("angular cross-section b is negative or not finite somewhere")
     p = np.inf if y1 == y2 == 0.0 else np.log(y2 / y1) / np.log(t2 / t1)
     if p <= -1.0 + 1e-6:
         raise KernelRejectionError(

@@ -18,14 +18,12 @@ Contents:
   w = 0, and the delta window in |w|, whose precondition m > m0 is the one
   integral I(m, 0) < 0.  The integral takes a batch of w of shape (..., 3)
   and returns one value per row, so the delta search scans all its angles
-  in one call.  On the plane z = e + rho*ehat it uses
-  |z|^2 = 1 + rho*(2 e.ehat + rho), i.e. log|z| = log1p(...)/2, so |z| is
-  never formed and |z|^{-m} = exp(-m log|z|) keeps full precision near
-  z = e.  The plane's rule (radii, weights, cos/sin of the azimuths) is
-  built once per quadrature scheme and held read-only
-  (:func:`_hyperplane_rule`), and the full-size arithmetic runs over
-  blocks of rows sized by ``_BLOCK_ELEMENTS`` so that its buffers stay in
-  cache;
+  in one call.  On the plane z = e + rho*ehat, log|z| = log1p(rho*(2 e.ehat
+  + rho))/2, so |z|^{-m} keeps full precision near z = e.  With phi measured
+  from the projection of e, e.ehat = A cos(phi), A = |(w_y, w_z)| / |e - w|,
+  so the integrand is even in phi and half the midpoint azimuths, at doubled
+  weight, give the full circle.  The rule is built once per scheme
+  (:func:`_hyperplane_rule`), and the arithmetic runs in cache-sized blocks;
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
 
 Search resolutions are fixed, and each report records the ones it used.
@@ -45,16 +43,11 @@ from .boltzmann import _read_only, plane_rule, q_boltzmann_carleman
 from .core import _norm_sample_points
 from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
-from .util import bracket, geometric_panels, orthonormal_complement
+from .util import bracket, geometric_panels
 
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
-# Elements of one (rows, Nr, Nphi) block of the hyperplane integral (7 rows
-# at the default scheme).  2**15 doubles are 256 KB, so the two work buffers
-# stay in a core's L2 cache through the ~11 elementwise passes; a whole
-# delta-scan batch, (64, 192, 24), is 2.4 MB per buffer and runs each pass
-# from memory.
-_BLOCK_ELEMENTS = 2**15
+_BLOCK_ELEMENTS = 2**15  # doubles per hyperplane-integral block; see its docstring
 
 # the Landau sup's angle grid does not depend on delta
 _COS_PSI, _SIN_PSI = _read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
@@ -265,17 +258,18 @@ def landau_delta_search(m, d, gamma):
 
 @functools.lru_cache(maxsize=1)
 def _hyperplane_rule(q):
-    """(rho, w_rho, cos_phi, sin_phi, w_phi) of the hyperplane integral, once per scheme.
+    """(rho, w_rho, cos_phi, w_phi) of the hyperplane integral, once per scheme.
 
     The graded head of :func:`collkit.boltzmann.plane_rule` on [0, 1] and a
     geometric tail on [1, 1e4]; rho and w_rho (which carries the plane's
-    measure rho) have shape (Nr, 1).  Read-only, since every call shares them.
+    measure rho) have shape (Nr, 1); cos_phi and w_phi are the first half of
+    the circle at doubled weight.  Read-only, since every call shares them.
     """
     rho_h, w_h, phi, w_phi = plane_rule(q)
     rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
     rho = np.concatenate([rho_h, rho_t])[:, None]
     w_rho = np.concatenate([w_h, w_t])[:, None] * rho
-    return _read_only(rho, w_rho, np.cos(phi), np.sin(phi)) + (w_phi,)
+    return _read_only(rho, w_rho, np.cos(phi[:len(phi) // 2])) + (2.0 * w_phi,)
 
 
 def boltzmann_hyperplane_integral(m, w, k, q):
@@ -293,18 +287,25 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     pass them in one call: the rule comes from :func:`_hyperplane_rule`,
     built once per scheme, and b is evaluated once for all rows.
 
-    The plane is parametrised as z = e + rho*ehat with ehat a unit vector
-    orthogonal to (e - w), so |z|^2 = 1 + rho*(2 e.ehat + rho) and
-    log|z| = log1p(rho*(2 e.ehat + rho))/2 without forming z.  The bracket
-    vanishes as z -> e; it is evaluated as A*expm1(Delta) with
-    A = |e-w|^{gamma+d} r^{-2(d-1)} and
+    The plane is parametrised as z = e + rho*ehat, ehat a unit vector
+    orthogonal to (e - w) at azimuth phi from the projection of e onto the
+    plane.  Then e.ehat = A cos(phi) with A = |(w_y, w_z)| / |e - w| (0 when
+    w is parallel to e), |z|^2 = 1 + rho*(2 e.ehat + rho), and
+    log|z| = log1p(rho*(2 e.ehat + rho))/2 without forming z.  Nothing else
+    depends on phi, so the integrand is even in phi: the midpoint azimuths
+    pair up as phi <-> 2 pi - phi, and only the first half is summed, at
+    weight 2 w_phi.  The value does not change when w rotates about e.  The
+    bracket vanishes as z -> e; it is evaluated as L*expm1(Delta) with
+    L = |e-w|^{gamma+d} r^{-2(d-1)} and
     Delta = -m log|z| + (d+gamma) log(r/|e-w|), which is exact and keeps
     full precision where the non-cutoff kernel is largest.
 
     The (rows, Nr, Nphi) arithmetic runs over blocks of at most
-    ``_BLOCK_ELEMENTS`` elements, in two buffers reused by every block, so
-    that it runs from cache.  Each row is still summed on its own over the
-    same (Nr, Nphi) layout, so the values do not depend on the block size.
+    ``_BLOCK_ELEMENTS`` = 2**15 doubles (256 KB; 14 rows of (192, 12) at the
+    default scheme) in two buffers reused by every block, which stay in L2
+    cache through the ~11 elementwise passes; a whole delta scan,
+    (64, 192, 12), would take 1.2 MB per buffer.  Each row is still summed on
+    its own over the same layout, so the values do not depend on the block size.
     Every check runs before any block: a bad row raises before a value is
     computed, and a non-finite result raises after the last.
     """
@@ -319,12 +320,11 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     w = w.reshape(-1, d)
     if np.any(np.linalg.norm(w, axis=-1) >= 0.5):
         raise ValueError("|w| must be < 1/2 (hyperplane domain constraint)")
-    ew = np.array([1.0, 0.0, 0.0]) - w
-    q_ew = np.linalg.norm(ew, axis=-1)[:, None, None]              # |e - w|, (B, 1, 1)
-    e1, e2 = orthonormal_complement(ew / q_ew[:, :, 0])
+    q_ew = np.linalg.norm(np.array([1.0, 0.0, 0.0]) - w, axis=-1)[:, None, None]  # |e - w|
+    a = np.hypot(w[:, 1], w[:, 2])[:, None, None] / q_ew           # e.ehat = a cos(phi)
 
-    rho, w_rho, cos_phi, sin_phi, w_phi = _hyperplane_rule(q)
-    two_e_ehat = 2.0 * (cos_phi * e1[:, :1] + sin_phi * e2[:, :1])[:, None, :]
+    rho, w_rho, cos_phi, w_phi = _hyperplane_rule(q)
+    two_e_ehat = 2.0 * a * cos_phi
     rows = max(1, _BLOCK_ELEMENTS // (len(rho) * len(cos_phi)))
     log_z = np.empty((min(rows, len(w)), len(rho), len(cos_phi)))
     term = np.empty_like(log_z)

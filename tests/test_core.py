@@ -195,6 +195,17 @@ def test_boltzmann_kernel_validation():
             KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=negative_b)
 
 
+@pytest.mark.parametrize("b", [
+    lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),
+    lambda x: np.where((np.asarray(x) > 0.25) & (np.asarray(x) < 0.35), np.nan, 1.0),
+    lambda x: np.where(np.asarray(x) < 1e-3, np.nan, 1.0),
+], ids=["inf", "nan-band", "nan-grazing"])
+def test_boltzmann_non_finite_b_rejected(b):
+    # rejected by the probe, before a NaN reaches the power estimate or quad
+    with pytest.raises(KernelRejectionError, match="not finite"):
+        KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+
+
 def test_boltzmann_angular_integrability_rejection():
     # b ~ x^{-4} corresponds to the excluded endpoint s = 1
     with pytest.raises(KernelRejectionError):

@@ -23,7 +23,7 @@ from collkit import (
 )
 from collkit import verify
 from collkit.fields import shell_field
-from collkit.util import geometric_panels, graded_panels, orthonormal_complement
+from collkit.util import circle_rule, geometric_panels, graded_panels, orthonormal_complement
 from collkit.verify import landau_integrand_g
 
 from conftest import b_cos2, b_ones
@@ -145,19 +145,27 @@ def test_hyperplane_rejects_large_w(q_default, kernel_boltzmann_g0):
                                       kernel_boltzmann_g0, q_default)
 
 
-def hyperplane_reference(m, w, k, q):
-    """The per-point formula: z as a 3-vector, |z| by norm, then log and **(-m)."""
+def e_aligned_frame(n):
+    """(e1, e2) spanning the plane orthogonal to n, e1 along the projection of e."""
+    e = np.array([1.0, 0.0, 0.0])
+    e1 = e - np.dot(e, n) * n
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(n, e1)
+
+
+def hyperplane_reference(m, w, k, q, frame=e_aligned_frame):
+    """The per-point formula on the full circle: z as a 3-vector, |z| by norm, then log, **(-m)."""
     e = np.array([1.0, 0.0, 0.0])
     ew = e - w
     q_ew = float(np.linalg.norm(ew))
-    e1, e2 = orthonormal_complement((ew / q_ew)[None, :])
+    e1, e2 = frame(ew / q_ew)
     rho_h, w_h = graded_panels(0.0, 1.0, q.hyperplane_nodes, ratio=2.5)
     rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
     rho = np.concatenate([rho_h, rho_t])
     w_rho = np.concatenate([w_h, w_t]) * rho
     n_phi = 2 * q.angular_nodes
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
-    ehat = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    ehat = np.cos(phi)[:, None] * np.reshape(e1, 3) + np.sin(phi)[:, None] * np.reshape(e2, 3)
     z = e + rho[:, None, None] * ehat[None, :, :]
     az = np.linalg.norm(z, axis=-1)
     r = np.sqrt(rho[:, None] ** 2 + q_ew**2)
@@ -167,31 +175,69 @@ def hyperplane_reference(m, w, k, q):
     return float(np.sum((loss + gain) * w_rho[:, None]) * (2.0 * np.pi / n_phi))
 
 
+HYPERPLANE_KERNELS = (b_ones, b_cos2, lambda x: np.asarray(x, dtype=float) ** -1.0)
+
+
+def assert_matches_reference(m, w, k, q, frame=e_aligned_frame):
+    got = boltzmann_hyperplane_integral(m, w, k, q)
+    ref = np.array([hyperplane_reference(m, row, k, q, frame) for row in w])
+    err = np.abs(got - ref)
+    assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-14)), (m, err)
+
+
 def test_hyperplane_batch_matches_per_point_formula(q_fast):
+    # the reference sums the full circle in the e-aligned frame, so this also
+    # checks the fold onto half the azimuths
     rng = np.random.default_rng(11)
     w = rng.normal(size=(20, 3))
     w *= (0.45 * rng.random(20) / np.linalg.norm(w, axis=-1))[:, None]
-    for b in (b_ones, b_cos2, lambda x: np.asarray(x, dtype=float) ** -1.0):
+    for b in HYPERPLANE_KERNELS:
         k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
         for m in (4.0, 8.0, 50.0, 200.0):
-            got = boltzmann_hyperplane_integral(m, w, k, q_fast)
-            ref = np.array([hyperplane_reference(m, row, k, q_fast) for row in w])
-            err = np.abs(got - ref)
-            assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-14)), (m, err)
+            assert_matches_reference(m, w, k, q_fast)
+
+
+def test_hyperplane_matches_any_frame_on_delta_scan_rows(q_fast):
+    # for w in the xy-plane, as the delta search passes it, the frame built
+    # from orthonormal_complement is the e-aligned one up to phi -> phi + pi
+    angles = np.linspace(0.0, np.pi, 64)
+    directions = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+    for b in HYPERPLANE_KERNELS:
+        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+        for a in (1e-4, 0.1, 0.3, 0.499):
+            for m in (8.0, 50.0):
+                assert_matches_reference(m, a * directions, k, q_fast, orthonormal_complement)
+
+
+def test_hyperplane_invariant_under_rotation_about_e(q_fast):
+    rng = np.random.default_rng(16)
+    w = rng.normal(size=(12, 3))
+    w *= (0.45 * rng.random(12) / np.linalg.norm(w, axis=-1))[:, None]
+    turns = rng.uniform(0.0, 2.0 * np.pi, size=(5, 12))
+    c, s = np.cos(turns), np.sin(turns)
+    # rotate each row about e = (1, 0, 0) by five angles
+    rotated = np.stack([np.broadcast_to(w[:, 0], c.shape), c * w[:, 1] - s * w[:, 2],
+                        s * w[:, 1] + c * w[:, 2]], axis=-1)
+    for b in HYPERPLANE_KERNELS:
+        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+        for m in (8.0, 50.0, 200.0):
+            base = boltzmann_hyperplane_integral(m, w, k, q_fast)
+            turned = boltzmann_hyperplane_integral(m, rotated, k, q_fast)
+            assert np.all(np.abs(turned - base) <= 1e-13 * np.abs(base)), (m, turned - base)
 
 
 def test_hyperplane_batch_shapes(q_fast, kernel_boltzmann_g0):
-    rho, _, cos_phi, _, _ = verify._hyperplane_rule(q_fast)
+    rho, _, cos_phi, _ = verify._hyperplane_rule(q_fast)
     block = verify._BLOCK_ELEMENTS // (len(rho) * len(cos_phi))
-    assert 1 < block < 64
+    assert 1 < block < 40
     rng = np.random.default_rng(12)
-    w = rng.normal(size=(64, 3))
-    w *= (0.49 * rng.random(64) / np.linalg.norm(w, axis=-1))[:, None]
+    w = rng.normal(size=(80, 3))
+    w *= (0.49 * rng.random(80) / np.linalg.norm(w, axis=-1))[:, None]
     single = [boltzmann_hyperplane_integral(7.0, row, kernel_boltzmann_g0, q_fast)
               for row in w]
     assert all(type(v) is float for v in single)
     # blocking is invisible: every batch size gives each row's own value, bit for bit
-    for n in (1, block, block + 1, 64):
+    for n in (1, block, block + 1, 80):
         batch = boltzmann_hyperplane_integral(7.0, w[:n], kernel_boltzmann_g0, q_fast)
         assert batch.shape == (n,)
         assert np.array_equal(batch, single[:n])
@@ -231,8 +277,15 @@ def test_hyperplane_rule_built_once_per_scheme(q_default, kernel_boltzmann_g0):
     boltzmann_m0_search(kernel_boltzmann_g0, q_default)
     info = verify._hyperplane_rule.cache_info()
     assert info.misses == 1 and info.hits > 10
-    rho, w_rho, cos_phi, sin_phi, _ = verify._hyperplane_rule(q_default)
-    assert not any(a.flags.writeable for a in (rho, w_rho, cos_phi, sin_phi))
+    rho, w_rho, cos_phi, w_phi = verify._hyperplane_rule(q_default)
+    assert not any(a.flags.writeable for a in (rho, w_rho, cos_phi))
+    # the folded rule is the first half of the N-point midpoint circle at
+    # weight 2 (2 pi / N): N/2 nodes that sum to the full circle
+    n_phi = 2 * q_default.angular_nodes
+    phi, w_full = circle_rule(n_phi)
+    assert np.array_equal(cos_phi, np.cos(phi[:n_phi // 2]))
+    assert w_phi == 2.0 * w_full
+    assert len(cos_phi) * w_phi == pytest.approx(2.0 * np.pi, rel=1e-15)
 
 
 def test_m0_search_constant_kernel(q_default, kernel_boltzmann_g0):

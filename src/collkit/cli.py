@@ -6,20 +6,22 @@ One command per process, configured by an INI file::
     command = m0-search
 
     [kernel]
-    dim = 3
     gamma = 0
-    operator = boltzmann
     b = constant
 
     [quadrature]
     hyperplane_nodes = 16
 
-Besides ``[run]``, ``[kernel]`` and ``[quadrature]``, only the chosen
-command's own section is accepted; unknown sections or keys are rejected.
-``[kernel] operator`` defaults to the command's own operator: ``boltzmann``
-for ``boltzmann-eval``, ``m0-search`` and a Boltzmann ``delta-search``,
-``landau`` otherwise.  The cross-section ``b`` alone decides whether a
-Boltzmann kernel is cutoff.
+:data:`COMMANDS` is the whole whitelist: each row names a command's handler
+and, per section, the keys it reads.  Besides ``[run] command``, every other
+section or key is rejected, and so is a value that cannot be read.  The
+commands are ``landau-eval``, ``boltzmann-eval``, ``barrier-check``,
+``landau-delta-search``, ``boltzmann-delta-search``, ``m0-search``,
+``homog-run`` and ``hydro-verdict``.  Each fixes its operator, Boltzmann
+for the three with ``boltzmann`` or ``m0`` in the name, so ``[kernel]`` has
+no ``operator`` key; ``b`` alone decides whether a Boltzmann kernel is
+cutoff.  ``[kernel]`` defaults to dim = 3 and gamma = 0, except gamma = -3
+for ``landau-delta-search`` and gamma = 1 for ``hydro-verdict``.
 Every invocation writes its result artifacts (JSON/CSV) plus a
 ``manifest.json`` (echoed config, package version, wall time) into the
 output directory.  Identical config produces byte-identical result
@@ -50,12 +52,6 @@ from .landau import q_landau
 
 _QUADRATURE_TYPES = {f.name: f.type for f in dataclasses.fields(QuadratureScheme)}
 
-_SHARED_KEYS = {
-    "run": {"command"},
-    "kernel": {"dim", "gamma", "operator", "b"},
-    "quadrature": set(_QUADRATURE_TYPES),
-}
-
 _REPRESENTATIONS = {"sigma": q_boltzmann_sigma, "carleman": q_boltzmann_carleman}
 
 
@@ -76,15 +72,12 @@ def _parse_config(path):
     cmd = cp["run"]["command"]
     if cmd not in COMMANDS:
         raise ConfigError(f"{path}: unknown command {cmd!r}")
-    allowed = {**_SHARED_KEYS, cmd: COMMANDS[cmd][1]}
+    allowed = {"run": {"command"}, **COMMANDS[cmd][1]}
     for section in cp.sections():
-        if section not in allowed:
-            raise ConfigError(f"{path}: section [{section}] is not used by {cmd}")
-        extra = set(cp[section]) - allowed[section]
-        if extra:
+        extra = sorted(set(cp[section]) - allowed.get(section, set()))
+        if extra or section not in allowed:
             raise ConfigError(
-                f"{path}: unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
-            )
+                f"{path}: unknown key(s) for {cmd}: [{section}] {', '.join(extra)}".rstrip())
     return cp
 
 
@@ -99,12 +92,11 @@ def _make_b(name):
     raise ConfigError(f"unknown cross-section {name!r} (use constant, cos2, power:<p>)")
 
 
-def _kernel_from(cp, operator="landau"):
-    """The [kernel] section; ``operator`` is the default of the command using it."""
+def _kernel_from(cp, operator, gamma=0.0):
+    """The [kernel] section for a command of the given operator and default gamma."""
     sec = cp["kernel"] if "kernel" in cp else {}
-    operator = sec.get("operator", operator)
     b = _make_b(sec.get("b", "constant")) if operator == "boltzmann" else None
-    return KernelSpec(dim=int(sec.get("dim", 3)), gamma=float(sec.get("gamma", 0.0)),
+    return KernelSpec(dim=int(sec.get("dim", 3)), gamma=float(sec.get("gamma", gamma)),
                       operator=operator, b=b)
 
 
@@ -123,6 +115,11 @@ def _field_from(spec, dim):
 
 def _write_json(path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_report(out_dir, report):
+    (out_dir / "result.json").write_text(report.to_json() + "\n")
+    return 0 if report.feasible else 2
 
 
 def _point_eval(cp, sec, q, out_dir):
@@ -159,35 +156,23 @@ def _barrier_check(cp, sec, q, out_dir):
     return 0
 
 
-def _delta_search(cp, sec, q, out_dir):
-    target = sec.get("target", "landau")
-    try:
-        if target == "landau":
-            report = verify.landau_delta_search(
-                m=float(sec.get("m", 5.0)), d=int(sec.get("d", 3)),
-                gamma=float(sec.get("gamma", -3.0)),
-            )
-        elif target == "boltzmann":
-            report = verify.boltzmann_delta_search(float(sec.get("m", 8.0)),
-                                                  _kernel_from(cp, "boltzmann"), q)
-        else:
-            raise ConfigError(f"unknown delta-search target {target!r}")
-    except InfeasibleError as exc:
-        _write_json(out_dir / "result.json",
-                    {"command": "delta-search", "infeasible": True, "reason": str(exc)})
-        return 2
-    (out_dir / "result.json").write_text(report.to_json() + "\n")
-    return 0
+def _landau_delta_search(cp, sec, q, out_dir):
+    k = _kernel_from(cp, "landau", gamma=-3.0)
+    return _write_report(out_dir, verify.landau_delta_search(float(sec.get("m", 5.0)),
+                                                            k.dim, k.gamma))
+
+
+def _boltzmann_delta_search(cp, sec, q, out_dir):
+    return _write_report(out_dir, verify.boltzmann_delta_search(
+        float(sec.get("m", 8.0)), _kernel_from(cp, "boltzmann"), q))
 
 
 def _m0_search(cp, sec, q, out_dir):
-    report = verify.boltzmann_m0_search(_kernel_from(cp, "boltzmann"), q)
-    (out_dir / "result.json").write_text(report.to_json() + "\n")
-    return 0 if report.feasible else 2
+    return _write_report(out_dir, verify.boltzmann_m0_search(_kernel_from(cp, "boltzmann"), q))
 
 
 def _homog_run(cp, sec, q, out_dir):
-    k = _kernel_from(cp)
+    k = _kernel_from(cp, "landau")
     f0 = solver.make_gaussian_grid(
         n=int(sec.get("n", 32)), V=float(sec.get("box_radius", 6.0)),
         rho=float(sec.get("rho", 1.0)), theta=float(sec.get("theta", 0.5)),
@@ -213,7 +198,7 @@ def _homog_run(cp, sec, q, out_dir):
 
 
 def _hydro_verdict(cp, sec, q, out_dir):
-    gamma = float(sec.get("gamma", 1.0))
+    gamma = _kernel_from(cp, "landau", gamma=1.0).gamma
     rows = [hydro.scenario_verdict(sc, gamma) for sc in hydro.load_catalog()]
     lines = ["scenario,gamma,verdict,critical_gamma"]
     for r in rows:
@@ -223,24 +208,44 @@ def _hydro_verdict(cp, sec, q, out_dir):
     return 0
 
 
-# command name -> (handler, keys of the command's own section)
+_POINT = {"outer_radius", "polar_radius", "radial_nodes", "angular_nodes"}
+_PLANE = {"hyperplane_nodes", "angular_nodes"}
+
+# command name -> (handler, {section: keys the command reads}); besides
+# [run] command, nothing else is accepted
 COMMANDS = {
-    "landau-eval": (_point_eval, {"field", "point"}),
-    "boltzmann-eval": (_point_eval, {"field", "point", "representation"}),
-    "barrier-check": (_barrier_check, {"m", "alpha"}),
-    "delta-search": (_delta_search, {"target", "m", "d", "gamma"}),
-    "m0-search": (_m0_search, set()),
-    "homog-run": (_homog_run, {"n", "box_radius", "t_end", "cfl", "m", "rho", "theta"}),
-    "hydro-verdict": (_hydro_verdict, {"gamma"}),
+    "landau-eval": (_point_eval, {"kernel": {"dim", "gamma"}, "quadrature": _POINT | {"rel_tol"},
+                                  "landau-eval": {"field", "point"}}),
+    "boltzmann-eval": (_point_eval, {
+        "kernel": {"dim", "gamma", "b"}, "quadrature": _POINT | {"hyperplane_nodes"},
+        "boltzmann-eval": {"field", "point", "representation"}}),
+    "barrier-check": (_barrier_check, {"barrier-check": {"m", "alpha"}}),
+    "landau-delta-search": (_landau_delta_search, {"kernel": {"dim", "gamma"},
+                                                   "landau-delta-search": {"m"}}),
+    "boltzmann-delta-search": (_boltzmann_delta_search, {
+        "kernel": {"gamma", "b"}, "quadrature": _PLANE, "boltzmann-delta-search": {"m"}}),
+    "m0-search": (_m0_search, {"kernel": {"gamma", "b"}, "quadrature": _PLANE}),
+    "homog-run": (_homog_run, {
+        "kernel": {"gamma"},
+        "homog-run": {"n", "box_radius", "t_end", "cfl", "m", "rho", "theta"}}),
+    "hydro-verdict": (_hydro_verdict, {"kernel": {"gamma"}}),
 }
 
 
 def run_command(cp, out_dir):
-    """Dispatch a parsed config; returns the process exit code."""
+    """Dispatch a parsed config; returns the process exit code.
+
+    An infeasible search leaves ``result.json`` with the reason and exits 2.
+    """
     cmd = cp["run"]["command"]
     out_dir.mkdir(parents=True, exist_ok=True)
     handler, _ = COMMANDS[cmd]
-    return handler(cp, cp[cmd] if cmd in cp else {}, _quadrature_from(cp), out_dir)
+    try:
+        return handler(cp, cp[cmd] if cmd in cp else {}, _quadrature_from(cp), out_dir)
+    except InfeasibleError as exc:
+        _write_json(out_dir / "result.json",
+                    {"command": cmd, "infeasible": True, "reason": str(exc)})
+        return 2
 
 
 def main(argv=None):
@@ -255,9 +260,6 @@ def main(argv=None):
     try:
         cp = _parse_config(args.config)
         status = run_command(cp, out_dir)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except (CollkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

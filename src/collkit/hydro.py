@@ -65,7 +65,7 @@ class EulerState:
 
 @dataclass(frozen=True)
 class ImplosionScenario:
-    """A self-similar Euler implosion family: name, kappa, lambda window, symmetry.
+    """A self-similar Euler implosion family: name, lambda window, symmetry.
 
     ``lambda_sup_attained`` distinguishes one-parameter families with an open
     exponent window from scenarios with a unique exponent (where the window
@@ -73,12 +73,10 @@ class ImplosionScenario:
     """
 
     name: str
-    kappa: str
     lambda_min: float
     lambda_max: float
     lambda_sup_attained: bool
     symmetry: str
-    notes: str = ""
 
     def __post_init__(self):
         if not (self.lambda_min >= 1.0 and self.lambda_max >= self.lambda_min):
@@ -122,12 +120,10 @@ def load_catalog():
         out.append(
             ImplosionScenario(
                 name=row["name"],
-                kappa=row["kappa"],
                 lambda_min=_eval_lambda(row["lambda_min"]),
                 lambda_max=_eval_lambda(row["lambda_max"]),
                 lambda_sup_attained=row["lambda_sup_attained"] == "yes",
                 symmetry=row["symmetry"],
-                notes=row["source_quote"],
             )
         )
     return out
@@ -283,9 +279,7 @@ def scenario_verdict(sc, gamma):
     is a strict threshold (metadata field 'strict').
     """
     gc = critical_gamma(sc.lambda_max)
-    if gamma == -3.0:
-        verdict = "excluded"  # exponent 3+gamma = 0: the condition 0 <= -1 never holds
-    elif sc.lambda_sup_attained:
+    if sc.lambda_sup_attained:
         verdict = "open" if blowup_integrability_condition(sc.lambda_max, gamma) else "excluded"
     else:
         # open window: condition must hold strictly inside, i.e. gamma > gc

@@ -87,8 +87,6 @@ class GridField:
 class RunLog:
     """Per-step record of time, weighted sup norms, moments, and negativity."""
 
-    m: float
-    gamma: float
     t: List[float] = dc_field(default_factory=list)
     norm_m: List[float] = dc_field(default_factory=list)
     norm_dpg: List[float] = dc_field(default_factory=list)
@@ -328,7 +326,7 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
     weights_dpg = brk ** (3.0 + k.gamma)
     engine = _engine(n, h, k.gamma)
 
-    log = RunLog(m=m, gamma=k.gamma)
+    log = RunLog()
     field = GridField(n=n, V=V, values=f0.values.copy(), time=f0.time)
     neg = field.check_validity()
     field.values = np.maximum(field.values, 0.0)

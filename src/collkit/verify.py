@@ -30,6 +30,11 @@ Search resolutions are fixed, and each report records the ones it used.
 Landau delta: sup of G on a 96 x 96 polar grid, stop at hi/lo <= 1 + 1e-3.
 Boltzmann m0: probes double up to m = 200, stop at hi - lo <= 1e-4 max(1, lo).
 Boltzmann delta: worst of 64 angles in [0, pi], stop at hi - lo <= 1e-3 hi.
+The hyperplane integral's azimuthal resolution suffices at the m the
+searches meet: over the delta scan at |w| <= 0.499 and m <= m0 + 4, raising
+``angular_nodes`` to 96 moves it by at most 6e-11 of its largest value.  The
+|z|^{-m} peak sharpens with m, so at m = 50 the same refinement moves the
+default scheme by 8.4e-6 and the coarse (8, 8, 10) scheme by 3e-3.
 """
 
 import functools
@@ -430,12 +435,8 @@ def boltzmann_delta_search(m, k, q):
 
 
 def _grid_meta(q):
-    return {
-        "hyperplane_nodes": q.hyperplane_nodes,
-        "angular_nodes": q.angular_nodes,
-        "radial_nodes": q.radial_nodes,
-        "outer_radius": q.outer_radius,
-    }
+    # the two fields of the scheme the hyperplane integral reads
+    return {"hyperplane_nodes": q.hyperplane_nodes, "angular_nodes": q.angular_nodes}
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_8_riccati_envelope():
     T = 1.0 / (C * y0)
     t = np.linspace(0.0, 0.85 * T, 60)
     y = y0 / (1.0 - C * y0 * t)
-    log = RunLog(m=5.0, gamma=-3.0)
+    log = RunLog()
     for ti, yi in zip(t, y):
         log.append(float(ti), float(yi), 0.0, 1.0, (0, 0, 0), 1.0, 0.0)
     out = riccati_check(log, C, T, rel_tol=1e-12)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from collkit import RunAbortedError, solver
-from collkit.cli import main
+from collkit import QuadratureScheme, RunAbortedError, solver
+from collkit.cli import COMMANDS, main
 
 
 def run_cli(tmp_path, config_text, name="cfg.ini", out="out"):
@@ -19,9 +20,7 @@ M0_CONFIG = """\
 command = m0-search
 
 [kernel]
-dim = 3
 gamma = 0
-operator = boltzmann
 b = constant
 
 [quadrature]
@@ -42,15 +41,14 @@ def test_m0_search_command(tmp_path):
 
 
 def test_boltzmann_commands_default_to_boltzmann_kernel(tmp_path):
-    # without [kernel] operator, a Boltzmann command gets the constant-b
+    # without a [kernel] section, a Boltzmann command gets the constant-b
     # Boltzmann kernel at gamma = 0, whose m0 is 5
     code, out_dir = run_cli(tmp_path, "[run]\ncommand = m0-search\n", out="m0")
     assert code == 0
     doc = json.loads((out_dir / "result.json").read_text())
     assert doc["parameter"] == "m0" and abs(doc["value"] - 5.0) < 1e-3
     code, out_dir = run_cli(
-        tmp_path, "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = boltzmann\n",
-        out="delta",
+        tmp_path, "[run]\ncommand = boltzmann-delta-search\n", out="delta",
     )
     assert code == 0
     doc = json.loads((out_dir / "result.json").read_text())
@@ -67,13 +65,21 @@ def test_artifacts_are_deterministic(tmp_path):
 def test_hydro_verdict_command(tmp_path):
     code, out_dir = run_cli(
         tmp_path,
-        "[run]\ncommand = hydro-verdict\n\n[hydro-verdict]\ngamma = 1\n",
+        "[run]\ncommand = hydro-verdict\n\n[kernel]\ngamma = 1\n",
     )
     assert code == 0
     text = (out_dir / "verdicts.csv").read_text()
     assert text.splitlines()[0] == "scenario,gamma,verdict,critical_gamma"
     assert "smooth-implosion,1,excluded,1.7320508" in text
     assert "guderley-spherical,1,open," in text
+    # the kernel's gamma decides the verdicts: Coulomb excludes every scenario
+    code, out_dir = run_cli(
+        tmp_path, "[run]\ncommand = hydro-verdict\n\n[kernel]\ngamma = -3\n", out="coulomb",
+    )
+    assert code == 0
+    rows = (out_dir / "verdicts.csv").read_text().splitlines()[1:]
+    assert "guderley-spherical,-3,excluded,0.2222222" in rows
+    assert all(row.split(",")[2] == "excluded" for row in rows)
 
 
 def test_landau_eval_command(tmp_path):
@@ -122,12 +128,13 @@ def test_barrier_check_command(tmp_path):
 def test_delta_search_infeasible_exit_code(tmp_path):
     code, out_dir = run_cli(
         tmp_path,
-        "[run]\ncommand = delta-search\n\n"
-        "[delta-search]\ntarget = landau\nm = 2.5\nd = 3\ngamma = 0\n",
+        "[run]\ncommand = landau-delta-search\n\n"
+        "[kernel]\ndim = 3\ngamma = 0\n\n[landau-delta-search]\nm = 2.5\n",
     )
     assert code == 2
     doc = json.loads((out_dir / "result.json").read_text())
-    assert doc["infeasible"] is True
+    assert doc["infeasible"] is True and doc["command"] == "landau-delta-search"
+    assert doc["reason"].startswith("no negativity window")
 
 
 def test_homog_run_command(tmp_path):
@@ -147,7 +154,7 @@ def test_homog_run_command(tmp_path):
 
 def test_homog_run_abort_leaves_log(tmp_path, capsys, monkeypatch):
     def aborting_run(f0, k, q, t_end, cfl, m):
-        log = solver.RunLog(m=m, gamma=k.gamma)
+        log = solver.RunLog()
         log.append(0.0, 1.0, 1.0, 1.0, (0.0, 0.0, 0.0), 1.5, 0.0)
         log.append(0.25, 1.1, 1.0, 1.0, (0.0, 0.0, 0.0), 1.5, 2e-13)
         raise RunAbortedError("negativity 2.000e-13 exceeds limit", log=log)
@@ -184,39 +191,31 @@ def test_unknown_key_rejected(tmp_path, capsys):
     bad_configs = [
         "[run]\ncommand = m0-search\nspeed = fast\n",
         "[run]\ncommand = m0-search\nseed = 3\n",
-        "[run]\ncommand = m0-search\n\n[kernel]\noperator = boltzmann\nnoncutoff_s = 0.5\n",
+        "[run]\ncommand = m0-search\n\n[kernel]\nnoncutoff_s = 0.5\n",
         "[run]\ncommand = boltzmann-eval\n\n[quadrature]\nregularization_radius = 0.05\n",
-        # a section that belongs to another command
+        # a section that belongs to another command, with or without keys
         "[run]\ncommand = m0-search\n\n[homog-run]\nn = 12\n",
+        "[run]\ncommand = m0-search\n\n[homog-run]\n",
         # values that cannot be read
         "[run]\ncommand = landau-eval\n\n[kernel]\ngamma = abc\n",
         "[run]\ncommand = landau-eval\n\n[quadrature]\nradial_nodes = 12.0\n",
-        # a kernel the command cannot use
-        "[run]\ncommand = landau-eval\n\n[kernel]\noperator = boltzmann\n",
-        "[run]\ncommand = m0-search\n\n[kernel]\noperator = landau\n",
-        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = landau\n",
-        "[run]\ncommand = delta-search\n\n[kernel]\noperator = landau\n\n"
-        "[delta-search]\ntarget = boltzmann\n",
         # an unknown representation
-        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\n\n"
-        "[boltzmann-eval]\nrepresentation = direct\n",
+        "[run]\ncommand = boltzmann-eval\n\n[boltzmann-eval]\nrepresentation = direct\n",
         # b alone makes this kernel non-cutoff, which the sigma route refuses
-        "[run]\ncommand = boltzmann-eval\n\n[kernel]\noperator = boltzmann\nb = power:-3\n\n"
+        "[run]\ncommand = boltzmann-eval\n\n[kernel]\nb = power:-3\n\n"
         "[boltzmann-eval]\nrepresentation = sigma\n",
-        # parameters a search cannot certify: a NaN m or gamma, d < 2, a 2-D
-        # Boltzmann kernel
-        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\nm = nan\n",
-        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\ngamma = nan\n",
-        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = boltzmann\nm = nan\n",
-        "[run]\ncommand = delta-search\n\n[delta-search]\ntarget = landau\nd = 1\ngamma = 0\n",
-        "[run]\ncommand = m0-search\n\n[kernel]\ndim = 2\n",
-        "[run]\ncommand = delta-search\n\n[kernel]\ndim = 2\n\n"
-        "[delta-search]\ntarget = boltzmann\n",
+        # parameters a search cannot certify: a NaN m or gamma, d < 2, a gamma
+        # outside the Landau range
+        "[run]\ncommand = landau-delta-search\n\n[landau-delta-search]\nm = nan\n",
+        "[run]\ncommand = landau-delta-search\n\n[kernel]\ngamma = nan\n",
+        "[run]\ncommand = boltzmann-delta-search\n\n[boltzmann-delta-search]\nm = nan\n",
+        "[run]\ncommand = landau-delta-search\n\n[kernel]\ndim = 1\ngamma = 0\n",
+        "[run]\ncommand = landau-delta-search\n\n[kernel]\ngamma = 2\n",
         # a hyperplane integral that overflows (gamma >~ 77) is not a threshold
         "[run]\ncommand = m0-search\n\n[kernel]\ngamma = 100\n",
         "[run]\ncommand = m0-search\n\n[kernel]\ngamma = 78\n",
-        "[run]\ncommand = delta-search\n\n[kernel]\ngamma = 100\n\n"
-        "[delta-search]\ntarget = boltzmann\nm = 120\n",
+        "[run]\ncommand = boltzmann-delta-search\n\n[kernel]\ngamma = 100\n\n"
+        "[boltzmann-delta-search]\nm = 120\n",
         # a barrier needs finite m and alpha, and inner coefficients that fit
         "[run]\ncommand = barrier-check\n\n[barrier-check]\nm = nan\n",
         "[run]\ncommand = barrier-check\n\n[barrier-check]\nalpha = inf\n",
@@ -236,6 +235,29 @@ def test_unknown_key_rejected(tmp_path, capsys):
     for flag in ("--seed", "--threads"):
         with pytest.raises(SystemExit):
             main(["--config", str(tmp_path / "cfg.ini"), flag, "1"])
+
+
+def test_command_table_is_the_whitelist(tmp_path, capsys):
+    # every key a command reads fails on an unreadable value, and every other
+    # [kernel] or [quadrature] key, including the former operator, is unknown
+    shared = {"kernel": {"dim", "gamma", "b", "operator"},
+              "quadrature": {f.name for f in dataclasses.fields(QuadratureScheme)}}
+    assert sum(len(keys) for _, row in COMMANDS.values() for keys in row.values()) == 43
+    for cmd, (_, row) in COMMANDS.items():
+        for section, keys in row.items():
+            for key in sorted(keys):
+                code, out_dir = run_cli(tmp_path, f"[run]\ncommand = {cmd}\n\n"
+                                        f"[{section}]\n{key} = abc\n", out="bad")
+                assert code == 1, (cmd, section, key)
+                assert capsys.readouterr().err.startswith("error: "), (cmd, section, key)
+                assert not (out_dir / "result.json").exists(), (cmd, section, key)
+        unread = [(section, key) for section, keys in shared.items()
+                  for key in sorted(keys - row.get(section, set()))] + [(cmd, "frobnicate")]
+        for section, key in unread:
+            code, _ = run_cli(tmp_path, f"[run]\ncommand = {cmd}\n\n[{section}]\n{key} = 1\n",
+                              out="unread")
+            assert code == 1, (cmd, section, key)
+            assert "unknown key" in capsys.readouterr().err, (cmd, section, key)
 
 
 def test_unknown_command_rejected(tmp_path):

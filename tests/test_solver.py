@@ -93,14 +93,14 @@ def test_make_gaussian_grid_rejects_leaky_box():
 
 
 def test_runlog_monotone_times():
-    log = RunLog(m=5.0, gamma=-3.0)
+    log = RunLog()
     log.append(0.0, 1.0, 1.0, 1.0, (0, 0, 0), 1.0, 0.0)
     with pytest.raises(ValueError):
         log.append(0.0, 1.0, 1.0, 1.0, (0, 0, 0), 1.0, 0.0)
 
 
 def test_runlog_csv_roundtrip(tmp_path):
-    log = RunLog(m=5.0, gamma=-3.0)
+    log = RunLog()
     log.append(0.0, 0.59, 0.61, 1.0, (1e-16, 0.0, -2e-16), 1.5, 0.0)
     log.append(0.01, 0.58, 0.60, 1.0001, (0.0, 0.0, 0.0), 1.4999, 1e-13)
     path = tmp_path / "runlog.csv"
@@ -118,7 +118,7 @@ def test_runlog_csv_roundtrip(tmp_path):
 
 
 def synthetic_log(t, y, g):
-    log = RunLog(m=5.0, gamma=-3.0)
+    log = RunLog()
     for ti, yi, gi in zip(t, y, g):
         log.append(float(ti), float(yi), float(gi), 1.0, (0, 0, 0), 1.0, 0.0)
     return log

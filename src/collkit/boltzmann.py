@@ -248,7 +248,7 @@ def q_boltzmann_carleman(f, v, k, q):
         raise UnsupportedParameterError(
             f"Carleman evaluation needs gamma > -{d}: the convolution of Q_ns diverges")
     f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner = _carleman_samples(f, tuple(v), q)
-    qns = k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma, d)
+    qns = k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma)
     rho = u[:, None] * x[None, :]
     rr = np.sqrt(rho * rho + (u * u)[:, None])
     b2 = 2.0 ** (d - 1) * rr ** (k.gamma + 2.0 - d) * k.b_folded(rho / rr) / u[:, None]
@@ -266,15 +266,15 @@ def collision_frequency_scale(f, v, k, q):
 
     The size of the gain and loss terms separately: the scale against which a
     Boltzmann point value's error is measured.  The convolution is the polar
-    rule's sum without :func:`collkit.landau.polar_convolution`'s
-    integrability check, so at gamma = -d it is still a finite scale.
+    rule's sum (:func:`collkit.landau.polar_convolution`), which is finite
+    for any power, so at gamma = -d it is still a finite scale.
     A non-cutoff b has no finite angular mass, so it is rejected.
     """
     if not k.is_cutoff:
         raise ValueError("collision_frequency_scale needs a cutoff Boltzmann kernel; "
                          "the angular mass of b diverges otherwise")
     pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
-    conv = float(np.einsum("i,j,ij->", wr * r**k.gamma, ws, f(pts)))
+    conv = polar_convolution(r, wr, ws, f(pts), k.gamma)
     ang, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),
                   0.0, math.pi)
     return float(f(v)) * sphere_area(k.dim - 1) * ang * conv

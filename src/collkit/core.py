@@ -1,6 +1,6 @@
 """Domain types shared by every operator module.
 
-Velocity fields are black-box evaluators with declared polynomial decay.
+Velocity fields are black-box evaluators.
 Kernel constants derived from the angular cross-section b (the cutoff flag
 and the Carleman prefactor C_b) are computed here, beside :class:`KernelSpec`.
 The comparison barrier equals ``alpha * |v|**-m`` outside the half ball and
@@ -15,20 +15,20 @@ import numpy as np
 from scipy.integrate import quad
 
 from .exceptions import EvaluationError, KernelRejectionError, UnsupportedParameterError
-from .util import bracket, sphere_area, sphere_rule, splitmix64
+from .util import bracket, sphere_area, sphere_rule
 
 
 @dataclass(frozen=True)
 class VelocityField:
     """A nonnegative function on d-dimensional velocity space.
 
-    ``eval`` maps an array of shape (..., dim) to values of shape (...).
-    ``decay_exponent`` and ``amplitude`` declare the pointwise bound
-    ``f(v) <= amplitude * <v>**-decay_exponent``; they are metadata used for
-    truncation-error estimates and are spot-checked, not enforced.
-    ``inner_void_radius``, when set, declares f == 0 on the open ball of
-    that radius.  ``hess_eval`` is optional: without it, :meth:`hessian`
-    uses central differences.
+    ``eval`` maps an array of shape (..., dim) to values of shape (...);
+    ``dim`` and ``eval`` are a complete field.  ``decay_exponent`` m and
+    ``inner_void_radius`` delta are optional declarations, read only by
+    :func:`collkit.verify.crude_bound_check`, whose hypotheses they are:
+    f <= |v|^-m everywhere and f == 0 on the open ball of radius delta.
+    That check samples both; nothing else trusts them.  ``hess_eval`` is
+    optional: without it, :meth:`hessian` uses central differences.
 
     Instances are immutable; all evaluations must be pure.  Equal fields
     therefore share samples: the Boltzmann routes reuse the values of
@@ -37,16 +37,13 @@ class VelocityField:
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    decay_exponent: float
-    amplitude: float
     hess_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    decay_exponent: Optional[float] = None
     inner_void_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
 
     def __call__(self, v):
         vals = np.asarray(self.eval(np.asarray(v, dtype=float)), dtype=float)
@@ -84,25 +81,6 @@ class VelocityField:
                     + self(v - ei - ej)
                 ) / (4.0 * step**2)
         return H
-
-    def validate(self):
-        """Spot-check sign, decay bound and void radius at 512 seeded points in |v| <= 8."""
-        u = splitmix64(12345, 512 * (self.dim + 1)).reshape(512, -1)
-        r = 8.0 * u[:, 0]
-        dirs = u[:, 1:] * 2.0 - 1.0
-        norms = np.linalg.norm(dirs, axis=-1)
-        norms[norms < 1e-12] = 1.0
-        pts = r[:, None] * dirs / norms[:, None]
-        vals = self(pts)
-        if np.any(vals < -1e-14):
-            raise EvaluationError("field is negative at a sampled point")
-        weighted = vals * bracket(pts) ** self.decay_exponent
-        if np.any(weighted > self.amplitude * (1.0 + 1e-9) + 1e-12):
-            raise EvaluationError("declared decay bound violated at a sampled point")
-        if self.inner_void_radius is not None:
-            inside = np.linalg.norm(pts, axis=-1) < self.inner_void_radius
-            if np.any(vals[inside] != 0.0):
-                raise EvaluationError("field nonzero inside declared void radius")
 
 
 @dataclass(frozen=True)
@@ -312,19 +290,12 @@ class Barrier:
         )
 
     def as_field(self, dim=3):
-        """The barrier as a ``dim``-dimensional VelocityField, amplitude 5% above its bound."""
-        return VelocityField(
-            dim=dim,
-            eval=lambda v: self.value(v),
-            hess_eval=self.hessian,
-            decay_exponent=self.m,
-            amplitude=1.05 * self.alpha * max(1.0, 2.0**self.m)
-            * (1.25) ** (self.m / 2.0),
-        )
+        """The barrier as a ``dim``-dimensional VelocityField with its exact Hessian."""
+        return VelocityField(dim=dim, eval=lambda v: self.value(v), hess_eval=self.hessian)
 
 
 def make_barrier(m, alpha):
-    """Construct the barrier for exponent ``m`` and amplitude ``alpha``.
+    """Construct the barrier alpha * b1 for exponent ``m`` and scale ``alpha``.
 
     Raises ValueError for non-finite or non-positive arguments and for an m
     so large that the inner coefficients overflow, and RuntimeError if the
@@ -382,8 +353,8 @@ def weighted_sup_norm(f, m, grid, return_argmax=False):
     smallest node so parallel evaluation stays reproducible.  Refinement is
     the caller's responsibility via the QuadratureScheme.
     """
-    if m < 0:
-        raise ValueError("weight exponent m must be >= 0")
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"weight exponent m must be finite and >= 0, got {m}")
     pts = _norm_sample_points(f.dim, grid)
     vals = f(pts) * bracket(pts) ** m
     best = np.max(vals)

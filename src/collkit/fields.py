@@ -8,7 +8,7 @@ and the bump also carry analytic Hessians.
 import numpy as np
 
 from .core import VelocityField
-from .util import splitmix64, weighted_gaussian_peak
+from .util import splitmix64
 
 
 def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
@@ -26,13 +26,7 @@ def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
         dv = np.asarray(v, dtype=float) - u
         return ev(v) / theta * (np.outer(dv, dv) / theta - np.eye(dim))
 
-    # declared bound: the exact sup of <v>^m times the Gaussian, plus 1%
-    m_decl = 12.0
-    amp = norm * weighted_gaussian_peak(m_decl, float(np.linalg.norm(u)), theta) * 1.01
-    return VelocityField(
-        dim=dim, eval=ev, hess_eval=he,
-        decay_exponent=m_decl, amplitude=amp,
-    )
+    return VelocityField(dim=dim, eval=ev, hess_eval=he)
 
 
 def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
@@ -67,15 +61,7 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
             (g2 + g1 * g1) * 4.0 * np.outer(dv, dv) + 2.0 * g1 * np.eye(dim)
         )
 
-    # compact support: any decay exponent is valid; amplitude bound at the
-    # support's far edge.
-    m_decl = 20.0
-    far = np.linalg.norm(c) + radius
-    amp = amplitude * (1.0 + far * far) ** (m_decl / 2.0)
-    return VelocityField(
-        dim=dim, eval=ev, hess_eval=he,
-        decay_exponent=m_decl, amplitude=float(amp),
-    )
+    return VelocityField(dim=dim, eval=ev, hess_eval=he)
 
 
 def shell_field(m, delta, dim=3):
@@ -97,11 +83,7 @@ def shell_field(m, delta, dim=3):
             pw = np.where(rr > 0, rr, 1.0) ** (-m)
         return chi * np.minimum(pw, lo ** (-m))
 
-    return VelocityField(
-        dim=dim, eval=ev, decay_exponent=float(m),
-        amplitude=float((1.0 + 1.0 / (lo * lo)) ** (m / 2.0)),
-        inner_void_radius=lo,
-    )
+    return VelocityField(dim=dim, eval=ev, decay_exponent=float(m), inner_void_radius=lo)
 
 
 def bump_suite(n, dim=3):

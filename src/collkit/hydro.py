@@ -32,25 +32,27 @@ VACUUM_DENSITY = 1e-14
 class EulerState:
     """Macroscopic state (rho, u, theta); pressure and energy are derived.
 
-    theta == 0 is permitted only with cold_gas=True; most operations reject
-    cold-gas states because the Maxwellian degenerates to a Dirac mass there.
+    All three must be finite.  theta == 0 is permitted only for a vacuum
+    state (as :func:`maxwellian_moments` returns); otherwise it is a cold
+    gas, whose Maxwellian degenerates to a Dirac mass, and is rejected.
     """
 
     rho: float
     u: Tuple[float, float, float]
     theta: float
-    cold_gas: bool = False
     vacuum: bool = False
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if self.theta == 0 and not (self.cold_gas or self.vacuum):
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError(f"u must be finite, got {self.u}")
+        if self.theta == 0 and not self.vacuum:
             raise ColdGasError(
                 "theta = 0 is a cold-gas state; the Maxwellian degenerates to "
-                "a Dirac mass (construct with cold_gas=True to represent it)"
+                "a Dirac mass, which this library does not model"
             )
 
     @property
@@ -228,8 +230,9 @@ def blowup_integrability_condition(lam, gamma):
     ||u||^{3+gamma} + ||theta||^{(3+gamma)/2} to diverge under the
     self-similar scaling with exponent lambda.
     """
-    if lam <= 1.0:
-        raise ValueError("similarity exponent lambda must exceed 1 (no focusing)")
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"similarity exponent lambda must be finite and exceed 1 "
+                         f"(no focusing), got {lam}")
     if not -3.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [-3, 1]")
     return (3.0 + gamma) * (1.0 / lam - 1.0) <= -1.0
@@ -237,8 +240,8 @@ def blowup_integrability_condition(lam, gamma):
 
 def critical_gamma(lambda_sup):
     """Smallest gamma for which the integrability condition holds at lambda_sup."""
-    if lambda_sup <= 1.0:
-        raise ValueError("lambda_sup must exceed 1")
+    if not 1.0 < lambda_sup < math.inf:
+        raise ValueError(f"lambda_sup must be finite and exceed 1, got {lambda_sup}")
     return lambda_sup / (lambda_sup - 1.0) - 3.0
 
 
@@ -278,6 +281,8 @@ def scenario_verdict(sc, gamma):
     decided at the window's supremum.  For open windows the critical gamma
     is a strict threshold (metadata field 'strict').
     """
+    if not -3.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [-3, 1], got {gamma}")
     gc = critical_gamma(sc.lambda_max)
     if sc.lambda_sup_attained:
         verdict = "open" if blowup_integrability_condition(sc.lambda_max, gamma) else "excluded"

@@ -21,16 +21,10 @@ from .util import geometric_panels, graded_panels, sphere_area, sphere_rule
 
 @dataclass(frozen=True)
 class LandauCoefficients:
-    """Diffusion matrix and reaction coefficient of the operator at one point.
-
-    ``truncation_error`` is the a priori tail estimate
-    A * V^{d - m_f + 2 + gamma} from the field's declared decay; it is a
-    reported diagnostic, not an enforced bound.
-    """
+    """Diffusion matrix and reaction coefficient of the operator at one point."""
 
     a_bar: np.ndarray
     c_bar: float
-    truncation_error: float
 
 
 def polar_nodes(v, dim, q):
@@ -51,18 +45,21 @@ def polar_nodes(v, dim, q):
     return pts, r, wr, sigma, ws
 
 
-def polar_convolution(r, wr, ws, vals, power, dim):
-    """(f * |.|^power)(v) from vals = f at the :func:`polar_nodes` points; needs power > -dim."""
-    if power <= -dim:
-        raise UnsupportedParameterError(
-            f"convolution power {power} not integrable in dimension {dim}")
+def polar_convolution(r, wr, ws, vals, power):
+    """(f * |.|^power)(v) from vals = f at the :func:`polar_nodes` points.
+
+    A finite sum for any power, but the convolution only for power > -dim.
+    """
     return float(np.einsum("i,j,ij->", wr * r**power, ws, vals))
 
 
 def singular_convolution(f, v, power, q):
     """(f * |.|^power)(v) by the polar rule above; requires power > -dim."""
+    if power <= -f.dim:
+        raise UnsupportedParameterError(
+            f"convolution power {power} not integrable in dimension {f.dim}")
     pts, r, wr, _, ws = polar_nodes(v, f.dim, q)
-    return polar_convolution(r, wr, ws, f(pts), power, f.dim)
+    return polar_convolution(r, wr, ws, f(pts), power)
 
 
 def landau_coefficients(f, v, k, q):
@@ -83,7 +80,7 @@ def landau_coefficients(f, v, k, q):
     if k.gamma == -d:
         c_bar = (d - 1) * sphere_area(d) * float(f(v))
     else:
-        c_bar = (d - 1) * (d + k.gamma) * polar_convolution(r, wr, ws, vals, k.gamma, d)
+        c_bar = (d - 1) * (d + k.gamma) * polar_convolution(r, wr, ws, vals, k.gamma)
 
     eigs = np.linalg.eigvalsh(a_bar)
     trace = float(np.trace(a_bar))
@@ -91,9 +88,7 @@ def landau_coefficients(f, v, k, q):
         raise RuntimeError(
             f"diffusion matrix lost positive semidefiniteness: min eig {eigs[0]:.3e}"
         )
-
-    trunc = f.amplitude * q.outer_radius ** (d - f.decay_exponent + 2.0 + k.gamma)
-    return LandauCoefficients(a_bar=a_bar, c_bar=c_bar, truncation_error=float(trunc))
+    return LandauCoefficients(a_bar=a_bar, c_bar=c_bar)
 
 
 def q_landau(f, v, k, q):

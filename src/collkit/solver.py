@@ -306,8 +306,9 @@ def _record(log, field, weights_m, weights_dpg, coords, h, neg):
 def homog_run(f0, k, q, t_end, cfl, m=5.0):
     """Advance the homogeneous Landau equation from f0 to t_end.
 
-    Returns the RunLog; raises RunAbortedError (with the partial log
-    attached) on negativity, containment, or step-size failure.
+    Returns the RunLog; raises RunAbortedError on negativity, containment,
+    or step-size failure, with the partial log attached unless f0 itself
+    is rejected (then ``log`` is None: there is no row to report).
     """
     if k.operator != "landau" or k.dim != 3:
         raise UnsupportedParameterError("solver supports the 3-D Landau operator only")
@@ -335,33 +336,33 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
     if np.max(field.values) == 0.0:
         return log
 
-    while field.time < t_end - 1e-15:
-        rhs0, a_max, c_max = _rhs(field.values, engine, h)
-        if a_max <= 0.0:
-            raise RunAbortedError("diffusion coefficient vanished", log=log)
-        dt = cfl * h * h / (6.0 * a_max)
-        if dt < 1e-15:
-            raise RunAbortedError("time step underflow", log=log)
-        dt = min(dt, t_end - field.time)
-        mid = field.values + 0.5 * dt * rhs0
-        rhs1, _, _ = _rhs(mid, engine, h)
-        new_vals = field.values + dt * rhs1
+    try:
+        while field.time < t_end - 1e-15:
+            rhs0, a_max, c_max = _rhs(field.values, engine, h)
+            if a_max <= 0.0:
+                raise RunAbortedError("diffusion coefficient vanished")
+            dt = cfl * h * h / (6.0 * a_max)
+            if dt < 1e-15:
+                raise RunAbortedError("time step underflow")
+            dt = min(dt, t_end - field.time)
+            mid = field.values + 0.5 * dt * rhs0
+            rhs1, _, _ = _rhs(mid, engine, h)
+            new_vals = field.values + dt * rhs1
 
-        old_max = float(np.max(field.values))
-        field.values = new_vals
-        field.time += dt
-        try:
+            old_max = float(np.max(field.values))
+            field.values = new_vals
+            field.time += dt
             neg = field.check_validity()
-        except RunAbortedError as exc:
-            raise RunAbortedError(str(exc), log=log) from None
-        field.values = np.maximum(field.values, 0.0)
-        # maximum-principle surrogate: growth of the max is reaction-limited
-        new_max = float(np.max(field.values))
-        slack = 10.0 * (dt * c_max) ** 2 * old_max + 1e-12
-        if new_max > (1.0 + dt * c_max) * old_max + slack:
-            raise RunAbortedError("maximum grew faster than the reaction bound",
-                                  log=log)
-        _record(log, field, weights_m, weights_dpg, coords, h, neg)
+            field.values = np.maximum(field.values, 0.0)
+            # maximum-principle surrogate: growth of the max is reaction-limited
+            new_max = float(np.max(field.values))
+            slack = 10.0 * (dt * c_max) ** 2 * old_max + 1e-12
+            if new_max > (1.0 + dt * c_max) * old_max + slack:
+                raise RunAbortedError("maximum grew faster than the reaction bound")
+            _record(log, field, weights_m, weights_dpg, coords, h, neg)
+    except RunAbortedError as exc:
+        exc.log = log
+        raise
     return log
 
 

@@ -446,23 +446,29 @@ def _grid_meta(q):
 def crude_bound_check(f, e, k, q):
     """Q(f,f)(e) for a field satisfying the crude-bound hypotheses.
 
-    Hypotheses checked on a sample grid: f <= |v|^{-m} with m the field's
-    declared decay exponent, f vanishes on an inner ball (inner_void_radius
-    set), and f(e) = 1 at the given unit vector.
+    The field declares m (``decay_exponent``) and delta
+    (``inner_void_radius``); both are required.  Checked at the nodes of
+    the weighted-sup-norm sample and at e: f <= |v|^{-m}, f == 0 inside
+    |v| < delta, and f(e) = 1 at the given unit vector.
     """
     e = np.asarray(e, dtype=float)
     if abs(np.linalg.norm(e) - 1.0) > 1e-9:
         raise ConfigurationError("e must be a unit vector")
-    if f.inner_void_radius is None:
+    m, delta = f.decay_exponent, f.inner_void_radius
+    if m is None:
+        raise ConfigurationError("field must declare its decay exponent (decay_exponent unset)")
+    if delta is None:
         raise ConfigurationError("field must vanish on an inner ball (void radius unset)")
     if abs(float(f(e)) - 1.0) > 1e-6:
         raise ConfigurationError("field must equal 1 at e")
-    m = f.decay_exponent
     pts = _norm_sample_points(f.dim, q)
     rr = np.linalg.norm(pts, axis=-1)
+    vals = f(pts)
+    if np.any(vals[rr < delta] != 0.0):
+        raise ConfigurationError(f"field is nonzero inside its declared void radius {delta}")
     mask = rr > 1e-12
     with np.errstate(divide="ignore"):
         cap = rr[mask] ** (-m)
-    if np.any(f(pts[mask]) > cap * (1.0 + 1e-9)):
+    if np.any(vals[mask] > cap * (1.0 + 1e-9)):
         raise ConfigurationError("field exceeds |v|^{-m} at a sample node")
     return _q_point(f, e, k, q)

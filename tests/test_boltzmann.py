@@ -156,10 +156,7 @@ def test_noncutoff_carleman_needs_only_eval(q_fast, maxwellian):
         dim=3, gamma=0.0, operator="boltzmann",
         b=lambda x: np.asarray(x, dtype=float) ** -3.0,
     )
-    eval_only = VelocityField(
-        dim=3, eval=maxwellian.eval,
-        decay_exponent=maxwellian.decay_exponent, amplitude=maxwellian.amplitude,
-    )
+    eval_only = VelocityField(dim=3, eval=maxwellian.eval)
     v = np.array([0.7, 0.0, 0.0])
     val = q_boltzmann_carleman(eval_only, v, k, q_fast)
     # b = x^-3 has no finite collision frequency, so the scale is that of b = 1
@@ -214,9 +211,7 @@ def bkw_field(K):
         dh = 0.5 * (3.0 / K**2 - 2.0 * s / K**3 + s / K**2)
         return g * ((s / (2.0 * K * K) - 1.5 / K) * h + dh)
 
-    r = np.linspace(0.0, 20.0, 4001)
-    amp = 1.01 * float(np.max((1.0 + r * r) ** 6 * ev(r[:, None] * [1.0, 0.0, 0.0])))
-    return VelocityField(dim=3, eval=ev, decay_exponent=12.0, amplitude=amp), d_dk
+    return VelocityField(dim=3, eval=ev), d_dk
 
 
 # |v| and the relative error allowed there: 5x the larger of the sigma and

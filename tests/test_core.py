@@ -19,12 +19,7 @@ from conftest import b_cos2, b_ones
 
 
 def flat_field(value=0.0, dim=3):
-    return VelocityField(
-        dim=dim,
-        eval=lambda v: np.full(np.shape(np.asarray(v))[:-1], value),
-        decay_exponent=0.0,
-        amplitude=max(value, 0.0),
-    )
+    return VelocityField(dim=dim, eval=lambda v: np.full(np.shape(np.asarray(v))[:-1], value))
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +35,6 @@ def test_sup_norm_weight_cancellation(q_fast):
     f = VelocityField(
         dim=3,
         eval=lambda v: (1.0 + np.sum(np.asarray(v) ** 2, axis=-1)) ** (-m / 2),
-        decay_exponent=m,
-        amplitude=1.0,
     )
     assert weighted_sup_norm(f, m, q_fast) == pytest.approx(1.0, abs=1e-12)
 
@@ -64,12 +57,7 @@ def test_sup_norm_maxwellian_weighted_oracle(q_fast, maxwellian):
 
 def test_sup_norm_scaling(q_fast, maxwellian):
     base = weighted_sup_norm(maxwellian, 3.0, q_fast)
-    scaled = VelocityField(
-        dim=3,
-        eval=lambda v: 7.0 * maxwellian.eval(v),
-        decay_exponent=maxwellian.decay_exponent,
-        amplitude=7.0 * maxwellian.amplitude,
-    )
+    scaled = VelocityField(dim=3, eval=lambda v: 7.0 * maxwellian.eval(v))
     assert weighted_sup_norm(scaled, 3.0, q_fast) == pytest.approx(7.0 * base, rel=1e-14)
 
 
@@ -79,11 +67,16 @@ def test_sup_norm_rejects_non_finite(q_fast):
         eval=lambda v: np.where(
             np.sum(np.asarray(v) ** 2, axis=-1) > 4.0, np.nan, 1.0
         ),
-        decay_exponent=0.0,
-        amplitude=1.0,
     )
     with pytest.raises(EvaluationError):
         weighted_sup_norm(bad, 0.0, q_fast)
+
+
+@pytest.mark.parametrize("m", [np.nan, np.inf, -1.0])
+def test_sup_norm_rejects_bad_weight_exponent(q_fast, maxwellian, m):
+    # nan and inf used to come back as the norm itself
+    with pytest.raises(ValueError, match="weight exponent"):
+        weighted_sup_norm(maxwellian, m, q_fast)
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +256,10 @@ def test_quadrature_invariants():
 # VelocityField
 
 
-def test_field_validate_decay_bound():
-    lying = VelocityField(
-        dim=3,
-        eval=lambda v: np.ones(np.shape(np.asarray(v))[:-1]),
-        decay_exponent=4.0,
-        amplitude=1.0,
-    )
-    with pytest.raises(EvaluationError):
-        lying.validate()
-
-
 def test_field_hessian_matches_analytic():
     g = gaussian_field()
     v = np.array([0.4, 0.5, -0.6])
-    fd = VelocityField(
-        dim=3, eval=g.eval, decay_exponent=g.decay_exponent, amplitude=g.amplitude
-    )
+    fd = VelocityField(dim=3, eval=g.eval)
     assert np.allclose(fd.hessian(v, rel_tol=1e-10), g.hessian(v), atol=1e-5)
 
 

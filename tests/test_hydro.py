@@ -43,9 +43,19 @@ def test_state_derived_quantities():
 def test_cold_gas_rejected():
     with pytest.raises(ColdGasError):
         EulerState(rho=1.0, u=(0, 0, 0), theta=0.0)
-    cold = EulerState(rho=1.0, u=(0, 0, 0), theta=0.0, cold_gas=True)
+    vacuum = EulerState(rho=0.0, u=(0, 0, 0), theta=0.0, vacuum=True)
     with pytest.raises(ColdGasError):
-        maxwellian_field(cold)
+        maxwellian_field(vacuum)
+
+
+@pytest.mark.parametrize("kw", [
+    {"rho": np.nan}, {"rho": np.inf}, {"theta": np.nan}, {"theta": np.inf},
+    {"u": (np.nan, 0.0, 0.0)}, {"u": (0.0, -np.inf, 0.0)},
+], ids=["rho-nan", "rho-inf", "theta-nan", "theta-inf", "u-nan", "u-inf"])
+def test_state_rejects_non_finite(kw):
+    # a NaN state used to be accepted and give a NaN specific entropy
+    with pytest.raises(ValueError, match="finite"):
+        EulerState(**{"rho": 1.0, "u": (0.0, 0.0, 0.0), "theta": 1.0, **kw})
 
 
 def test_specific_entropy_value():
@@ -79,6 +89,21 @@ def test_blowup_condition_thresholds():
     assert critical_gamma(lam) > 1.0
     with pytest.raises(ValueError):
         blowup_integrability_condition(1.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: blowup_integrability_condition(np.nan, 0.0),
+    lambda: blowup_integrability_condition(np.inf, 0.0),
+    lambda: blowup_integrability_condition(1.6, np.nan),
+    lambda: critical_gamma(np.nan),
+    lambda: critical_gamma(np.inf),
+    lambda: scenario_verdict(load_catalog()[0], np.nan),
+], ids=["condition-lambda-nan", "condition-lambda-inf", "condition-gamma-nan",
+        "critical-nan", "critical-inf", "verdict-gamma-nan"])
+def test_exponent_arithmetic_rejects_non_finite(call):
+    # most used to return a boolean, NaN or a verdict instead of raising
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(

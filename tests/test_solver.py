@@ -231,6 +231,98 @@ def test_homog_run_zero_field_is_stationary(q_fast, k_coulomb):
     assert log.norm_m == [0.0]
 
 
+def test_rejected_initial_field_aborts_without_log(q_fast, k_coulomb):
+    vals = np.zeros((8, 8, 8))
+    vals[4, 4, 4], vals[3, 3, 3] = 1.0, -1e-6
+    with pytest.raises(RunAbortedError, match="negativity") as info:
+        homog_run(GridField(n=8, V=4.0, values=vals), k_coulomb, q_fast, t_end=0.01, cfl=0.1)
+    assert info.value.log is None
+
+
+def _second_check_fails(self):
+    self.checks = getattr(self, "checks", 0) + 1
+    if self.checks > 1:
+        raise RunAbortedError("negativity 1.000e-13 exceeds limit")
+    return 0.0
+
+
+@pytest.mark.parametrize("target, patch, reason", [
+    ("_rhs", lambda values, engine, h: (values, 0.0, 0.0), "diffusion coefficient vanished"),
+    ("_rhs", lambda values, engine, h: (values, 1e30, 0.0), "time step underflow"),
+    ("_rhs", lambda values, engine, h: (values, 1.0, 0.0), "maximum grew faster"),
+    ("check_validity", _second_check_fails, "negativity"),
+], ids=["a-vanished", "dt-underflow", "max-growth", "validity"])
+def test_every_in_loop_abort_carries_the_partial_log(monkeypatch, q_fast, k_coulomb,
+                                                     target, patch, reason):
+    monkeypatch.setattr(GridField if target == "check_validity" else solver, target, patch)
+    gf = make_gaussian_grid(n=8, V=4.0, theta=0.3)
+    with pytest.raises(RunAbortedError, match=reason) as info:
+        homog_run(gf, k_coulomb, q_fast, t_end=0.01, cfl=0.1)
+    assert info.value.log.t == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# Second-derivative stencil
+
+
+def _a_dot_d2(values, h, a):
+    """a : D^2 f as the solver's right-hand side contracts it."""
+    d2 = solver._second_derivatives(values, h, a)
+    return (a["xx"] * d2["xx"] + a["yy"] * d2["yy"] + a["zz"] * d2["zz"]
+            + 2.0 * (a["xy"] * d2["xy"] + a["xz"] * d2["xz"] + a["yz"] * d2["yz"]))
+
+
+_KEYS = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+
+
+def test_stencil_exact_on_quadratics():
+    # both corner stencils are exact on quadratics, so a : D^2 f is exact
+    # away from the zero-extended boundary whatever the signs of a_ij
+    rng = np.random.default_rng(11)
+    n, h = 9, 0.3
+    X = np.stack(np.meshgrid(*[np.arange(n) * h] * 3, indexing="ij"), axis=-1)
+    for _ in range(20):
+        B = rng.normal(size=(3, 3))
+        B = B + B.T
+        values = np.einsum("...i,ij,...j->...", X, B, X) + X @ rng.normal(size=3) + 1.0
+        a = {key: rng.normal(size=(n, n, n)) for key in _KEYS}
+        exact = sum((1.0 if i == j else 2.0) * a[key] * 2.0 * B[i, j]
+                    for key, (i, j) in _KEYS.items())
+        got = _a_dot_d2(values, h, a)
+        inner = (slice(1, -1),) * 3
+        scale = sum(np.abs(a[key]) * 2.0 * abs(B[i, j]) for key, (i, j) in _KEYS.items())
+        assert np.max(np.abs(got - exact)[inner] / scale[inner]) <= 1e-10
+
+
+def test_stencil_monotone_under_diagonal_dominance():
+    # every off-center weight is nonnegative when a is diagonally dominant,
+    # so a : D^2 f >= 0 at a zero of a nonnegative f
+    rng = np.random.default_rng(12)
+    h = 0.5
+    for _ in range(200):
+        off = rng.normal(size=3)  # a_xy, a_xz, a_yz
+        diag = [abs(off[0]) + abs(off[1]), abs(off[0]) + abs(off[2]),
+                abs(off[1]) + abs(off[2])] + rng.random(3)
+        a = {key: np.full((3, 3, 3), c) for key, c in zip(_KEYS, [*diag, *off])}
+        # sparse, so that lone corners (where a wrong stencil weighs
+        # negatively) are drawn often
+        values = rng.random((3, 3, 3)) * (rng.random((3, 3, 3)) < 0.3)
+        values[1, 1, 1] = 0.0
+        assert _a_dot_d2(values, h, a)[1, 1, 1] >= 0.0
+
+
+def test_stencil_not_monotone_without_diagonal_dominance():
+    # the known failure: a_xx = 4.2, a_xy = -5.5, a_yy = 7.5 is not
+    # diagonally dominant, and two x-face neighbours equal to 1 around a
+    # zero give a : D^2 f = (2 * 4.2 - 2 * 5.5) / h^2 = -2.6 / h^2
+    h = 0.5
+    a = {key: np.full((3, 3, 3), c)
+         for key, c in zip(_KEYS, [4.2, 7.5, 1.0, -5.5, 0.0, 0.0])}
+    values = np.zeros((3, 3, 3))
+    values[0, 1, 1] = values[2, 1, 1] = 1.0
+    assert _a_dot_d2(values, h, a)[1, 1, 1] == pytest.approx(-2.6 / h**2, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient engine against a direct sum
 

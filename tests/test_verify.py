@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,10 +424,27 @@ def test_crude_bound_shell(q_fast):
     assert np.isfinite(val)
 
 
-def test_crude_bound_hypothesis_errors(q_fast, maxwellian):
+def test_crude_bound_hypothesis_errors(q_fast):
     k = KernelSpec(dim=3, gamma=0.0, operator="landau")
     f = shell_field(m=7.0, delta=0.3)
     with pytest.raises(ConfigurationError):
         crude_bound_check(f, np.array([2.0, 0.0, 0.0]), k, q_fast)  # not unit
-    with pytest.raises(ConfigurationError):
-        crude_bound_check(maxwellian, np.array([1.0, 0.0, 0.0]), k, q_fast)  # no void
+    with pytest.raises(ConfigurationError, match="void radius unset"):
+        crude_bound_check(replace(f, inner_void_radius=None), np.array([1.0, 0.0, 0.0]), k,
+                          q_fast)
+
+
+def test_crude_bound_requires_declared_decay(q_fast):
+    k = KernelSpec(dim=3, gamma=0.0, operator="landau")
+    f = replace(shell_field(m=7.0, delta=0.3), decay_exponent=None)
+    with pytest.raises(ConfigurationError, match="decay exponent"):
+        crude_bound_check(f, np.array([1.0, 0.0, 0.0]), k, q_fast)
+
+
+def test_crude_bound_checks_declared_void(q_fast):
+    # the shell vanishes only on |v| < 0.3; a declared void of 0.5 is false,
+    # and the sample nodes at |v| = 0.38 show it
+    k = KernelSpec(dim=3, gamma=0.0, operator="landau")
+    f = replace(shell_field(m=7.0, delta=0.3), inner_void_radius=0.5)
+    with pytest.raises(ConfigurationError, match="nonzero inside"):
+        crude_bound_check(f, np.array([1.0, 0.0, 0.0]), k, q_fast)

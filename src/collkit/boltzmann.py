@@ -81,8 +81,8 @@ from scipy.integrate import quad
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_convolution, polar_nodes
 from .util import (
-    circle_rule, graded_panels, orthonormal_complement, sphere_antipodes, sphere_area,
-    sphere_pair_classes,
+    circle_rule, graded_panels, orthonormal_complement, read_only, sphere_antipodes,
+    sphere_area, sphere_pair_classes,
 )
 
 
@@ -120,13 +120,6 @@ def _memo_last(build):
         return memo(*key)
 
     return call
-
-
-def _read_only(*arrays):
-    """``arrays``, made read-only: memoized samples are shared by every later call."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +160,7 @@ def _sigma_samples(f, v, q):
                               minlength=len(rep_s))
     # cos(theta) = sigma . (v - v_*)/|v - v_*| = -sigma . omega
     cos_t = -np.einsum("ck,ck->c", sigma[rep_s], omega[rep_o])
-    return _read_only(r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o])
+    return read_only(r, wr, sums, cos_t, w_sg[rep_s] * w_om[rep_o])
 
 
 def q_boltzmann_sigma(f, v, k, q):
@@ -226,7 +219,7 @@ def _carleman_samples(f, v, q):
             continue
         vp = v + (u[i] * x)[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
         inner[i] = np.sum(f(vp) - f_v, axis=2) @ plane_w[i, live]
-    _read_only(u, wu, w_eta, f_outer, x, wx, inner)
+    read_only(u, wu, w_eta, f_outer, x, wx, inner)
     return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner
 
 

@@ -39,12 +39,11 @@ import dataclasses
 import json
 import sys
 import time
-from importlib.metadata import version as _pkg_version
 from pathlib import Path
 
 import numpy as np
 
-from . import fields, hydro, solver, verify
+from . import __version__, fields, hydro, solver, verify
 from .boltzmann import q_boltzmann_carleman, q_boltzmann_sigma
 from .core import KernelSpec, QuadratureScheme, make_barrier
 from .exceptions import CollkitError, InfeasibleError, RunAbortedError
@@ -265,13 +264,9 @@ def main(argv=None):
         return 1
 
     echo = {s: dict(cp[s]) for s in cp.sections()}
-    try:
-        ver = _pkg_version("collkit")
-    except Exception:
-        ver = "unknown"
     manifest = {
         "config": echo,
-        "version": ver,
+        "version": __version__,
         "wall_time_s": round(time.time() - start, 3),
     }
     (out_dir / "manifest.json").write_text(

@@ -65,21 +65,16 @@ class VelocityField:
             return np.asarray(self.hess_eval(v), dtype=float)
         step = rel_tol ** (1.0 / 3.0) * bracket(v)
         d = self.dim
+        e = step * np.eye(d)
+        i, j = np.triu_indices(d, 1)
+        # one call at v, v +- e_k and v +- e_i +- e_j (i < j)
+        mixed = [si * e[i] + sj * e[j] for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        vals = self(v + np.concatenate([np.zeros((1, d)), e, -e, *mixed]))
+        f0, fp, fm = vals[0], vals[1:d + 1], vals[d + 1:2 * d + 1]
+        pp, pm, mp, mm = vals[2 * d + 1:].reshape(4, -1)
         H = np.empty((d, d))
-        f0 = self(v)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = step
-            H[i, i] = (self(v + ei) - 2.0 * f0 + self(v - ei)) / step**2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = step
-                H[i, j] = H[j, i] = (
-                    self(v + ei + ej)
-                    - self(v + ei - ej)
-                    - self(v - ei + ej)
-                    + self(v - ei - ej)
-                ) / (4.0 * step**2)
+        H[np.diag_indices(d)] = (fp - 2.0 * f0 + fm) / step**2
+        H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
         return H
 
 

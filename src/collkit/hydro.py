@@ -32,15 +32,13 @@ VACUUM_DENSITY = 1e-14
 class EulerState:
     """Macroscopic state (rho, u, theta); pressure and energy are derived.
 
-    All three must be finite.  theta == 0 is permitted only for a vacuum
-    state (as :func:`maxwellian_moments` returns); otherwise it is a cold
-    gas, whose Maxwellian degenerates to a Dirac mass, and is rejected.
+    All three must be finite.  theta == 0 is a cold gas, whose Maxwellian
+    degenerates to a Dirac mass, and is rejected.
     """
 
     rho: float
     u: Tuple[float, float, float]
     theta: float
-    vacuum: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.rho < math.inf:
@@ -49,7 +47,7 @@ class EulerState:
             raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
         if not np.all(np.isfinite(self.u)):
             raise ValueError(f"u must be finite, got {self.u}")
-        if self.theta == 0 and not self.vacuum:
+        if self.theta == 0:
             raise ColdGasError(
                 "theta = 0 is a cold-gas state; the Maxwellian degenerates to "
                 "a Dirac mass, which this library does not model"
@@ -137,11 +135,6 @@ def load_catalog():
 
 def maxwellian_field(state):
     """Local Maxwellian rho (2 pi theta)^{-3/2} exp(-|v-u|^2/(2 theta))."""
-    if state.theta <= 0:
-        raise ColdGasError(
-            "cold-gas state: the Maxwellian must be replaced by the measure "
-            "rho * delta_{v = u}, which this library does not model"
-        )
     return gaussian_field(rho=state.rho, u=state.u, theta=state.theta, dim=3)
 
 
@@ -149,8 +142,8 @@ def maxwellian_moments(f, q):
     """Recover (rho, u, theta) as velocity moments of f by quadrature.
 
     rho = integral f, rho u = integral v f, rho theta = (1/3) integral
-    |v-u|^2 f.  Near-zero mass returns a vacuum-flagged state instead of
-    dividing by zero.
+    |v-u|^2 f.  Mass below VACUUM_DENSITY is a vacuum, which has no
+    temperature, and raises ColdGasError instead of dividing by zero.
     """
     if f.dim != 3:
         raise ValueError("moments are defined for 3-D fields")
@@ -163,7 +156,8 @@ def maxwellian_moments(f, q):
     vals = f(pts)
     rho = float(np.sum(vals * W))
     if rho < VACUUM_DENSITY:
-        return EulerState(rho=max(rho, 0.0), u=(0.0, 0.0, 0.0), theta=0.0, vacuum=True)
+        raise ColdGasError(f"vacuum: mass {rho:.3g} is below {VACUUM_DENSITY:g}, "
+                           "so the state has no temperature")
     u = np.array(
         [float(np.sum(pts[..., i] * vals * W)) for i in range(3)]
     ) / rho
@@ -182,10 +176,7 @@ def maxwellian_weighted_norm(state, gamma):
     2|u|^2, (a+b+c)^p <= c_p (a^p + b^p + c^p) and, with s = |v-u|,
     sup_s s^{2p} exp(-s^2/(2 theta)) = (2p theta/e)^p.
     """
-    if state.theta <= 0:
-        raise ColdGasError("weighted norm undefined for cold-gas states")
-    if not -3.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [-3, 1]")
+    _check_gamma(gamma)
     mw = 3.0 + gamma
     p = mw / 2.0
     pref = state.rho * (2.0 * np.pi * state.theta) ** -1.5
@@ -202,8 +193,8 @@ def maxwellian_weighted_norm(state, gamma):
 
 def specific_entropy(state):
     """S-bar = log(2 rho^{2/3} / (3 theta))."""
-    if state.theta <= 0 or state.rho <= 0:
-        raise ColdGasError("specific entropy needs rho > 0 and theta > 0")
+    if state.rho <= 0:
+        raise ColdGasError("specific entropy needs rho > 0")
     return math.log(2.0 * state.rho ** (2.0 / 3.0) / (3.0 * state.theta))
 
 
@@ -217,32 +208,35 @@ def entropy_bound(states0, state_t):
         raise ValueError("need at least one initial state")
     s_max = max(specific_entropy(s) for s in states0)
     C = 1.5 * math.exp(s_max)
-    if state_t.theta <= 0:
-        raise ColdGasError("entropy bound undefined for cold-gas states")
     holds = state_t.rho ** (2.0 / 3.0) <= C * state_t.theta * (1.0 + 1e-12)
     return holds, C
 
 
+def _check_gamma(gamma):
+    if not -3.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [-3, 1], got {gamma}")
+
+
+def critical_gamma(lam):
+    """Smallest gamma for which the integrability condition holds at lambda.
+
+    The condition and every verdict are decided by this closed form alone.
+    """
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"similarity exponent lambda must be finite and exceed 1 "
+                         f"(no focusing), got {lam}")
+    return lam / (lam - 1.0) - 3.0
+
+
 def blowup_integrability_condition(lam, gamma):
-    """Whether (3+gamma)(1/lambda - 1) <= -1.
+    """Whether (3+gamma)(1/lambda - 1) <= -1, i.e. gamma >= critical_gamma(lambda).
 
     This is the necessary condition for the time integral of
     ||u||^{3+gamma} + ||theta||^{(3+gamma)/2} to diverge under the
     self-similar scaling with exponent lambda.
     """
-    if not 1.0 < lam < math.inf:
-        raise ValueError(f"similarity exponent lambda must be finite and exceed 1 "
-                         f"(no focusing), got {lam}")
-    if not -3.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [-3, 1]")
-    return (3.0 + gamma) * (1.0 / lam - 1.0) <= -1.0
-
-
-def critical_gamma(lambda_sup):
-    """Smallest gamma for which the integrability condition holds at lambda_sup."""
-    if not 1.0 < lambda_sup < math.inf:
-        raise ValueError(f"lambda_sup must be finite and exceed 1, got {lambda_sup}")
-    return lambda_sup / (lambda_sup - 1.0) - 3.0
+    _check_gamma(gamma)
+    return gamma >= critical_gamma(lam)
 
 
 def admissible_exponent_check(kappa, lam):
@@ -258,41 +252,21 @@ def admissible_exponent_check(kappa, lam):
     )
 
 
-def admissible_lambda_envelope():
-    """Supremum of admissible lambda with kappa eliminated.
-
-    Eliminating kappa between kappa = -3(lambda-1) and lambda = (5+kappa)/2
-    gives lambda < 8/5; computed here by a dense sweep so the constant is
-    checked rather than hard-coded.
-    """
-    lams = np.linspace(1.0 + 1e-9, 2.5, 100001)
-    # for each lambda, the largest allowed kappa is -3(lambda-1); admissible
-    # iff lambda < (5 + kappa)/2 at that kappa.
-    kap = -3.0 * (lams - 1.0)
-    ok = (kap > -3.0) & (lams < (5.0 + kap) / 2.0)
-    return float(np.max(lams[ok]))
-
-
 def scenario_verdict(sc, gamma):
     """Verdict ('excluded' or 'open') plus the scenario's critical gamma.
 
     Open means the integrability condition holds for some lambda in the
-    scenario's window; since the condition is monotone in lambda it is
-    decided at the window's supremum.  For open windows the critical gamma
-    is a strict threshold (metadata field 'strict').
+    scenario's window; since critical_gamma decreases in lambda it is
+    decided at the window's supremum: gamma >= gc when that exponent is
+    attained, gamma > gc for an open window (metadata field 'strict').
     """
-    if not -3.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [-3, 1], got {gamma}")
+    _check_gamma(gamma)
     gc = critical_gamma(sc.lambda_max)
-    if sc.lambda_sup_attained:
-        verdict = "open" if blowup_integrability_condition(sc.lambda_max, gamma) else "excluded"
-    else:
-        # open window: condition must hold strictly inside, i.e. gamma > gc
-        verdict = "open" if gamma > gc else "excluded"
+    open_ = gamma >= gc if sc.lambda_sup_attained else gamma > gc
     return {
         "scenario": sc.name,
         "gamma": gamma,
-        "verdict": verdict,
+        "verdict": "open" if open_ else "excluded",
         "critical_gamma": gc,
         "strict": not sc.lambda_sup_attained,
     }

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.fft
 
 from .exceptions import RunAbortedError, UnsupportedParameterError
-from .util import sphere_area
+from .util import read_only, sphere_area
 
 NEGATIVITY_LIMIT = 1e-12   # relative to max; larger dips abort the run
 CONTAINMENT_LIMIT = 1e-8   # boundary-ring mass relative to max
@@ -201,9 +201,7 @@ class _CoefficientEngine:
 
     @staticmethod
     def _real_hat(kernel):
-        hat = np.fft.rfftn(kernel).real.copy()
-        hat.setflags(write=False)
-        return hat
+        return read_only(np.fft.rfftn(kernel).real.copy())[0]
 
     def _conv(self, val_hat, kern_hat):
         # irfftn one axis at a time, dropping the rows no kept output needs

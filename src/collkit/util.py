@@ -33,16 +33,20 @@ def splitmix64(seed, n):
     return out
 
 
+def read_only(*arrays):
+    """``arrays``, made read-only: cached arrays are shared by every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def legendre_rule(n):
     """Gauss-Legendre nodes/weights on [-1, 1], solved once per order ``n``.
 
     The arrays are shared between callers and therefore read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def gauss_panel(a, b, n):

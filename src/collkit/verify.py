@@ -44,19 +44,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from .boltzmann import _read_only, plane_rule, q_boltzmann_carleman
+from .boltzmann import plane_rule, q_boltzmann_carleman
 from .core import _norm_sample_points
 from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, UnsupportedParameterError
 from .landau import q_landau
-from .util import bracket, geometric_panels
+from .util import bracket, geometric_panels, read_only
 
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
 _BLOCK_ELEMENTS = 2**15  # doubles per hyperplane-integral block; see its docstring
 
 # the Landau sup's angle grid does not depend on delta
-_COS_PSI, _SIN_PSI = _read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
-                                np.sin(np.linspace(0.0, np.pi, _GRID_N)))
+_COS_PSI, _SIN_PSI = read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
+                               np.sin(np.linspace(0.0, np.pi, _GRID_N)))
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def _hyperplane_rule(q):
     rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
     rho = np.concatenate([rho_h, rho_t])[:, None]
     w_rho = np.concatenate([w_h, w_t])[:, None] * rho
-    return _read_only(rho, w_rho, np.cos(phi[:len(phi) // 2])) + (2.0 * w_phi,)
+    return read_only(rho, w_rho, np.cos(phi[:len(phi) // 2])) + (2.0 * w_phi,)
 
 
 def boltzmann_hyperplane_integral(m, w, k, q):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import collkit
 from collkit import QuadratureScheme, RunAbortedError, solver
 from collkit.cli import COMMANDS, main
 
@@ -38,6 +39,8 @@ def test_m0_search_command(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["run"]["command"] == "m0-search"
     assert sorted(manifest) == ["config", "version", "wall_time_s"]
+    # read from the package, so a source tree that is not installed has it too
+    assert manifest["version"] == collkit.__version__
 
 
 def test_boltzmann_commands_default_to_boltzmann_kernel(tmp_path):

@@ -14,6 +14,7 @@ from collkit import (
     weighted_sup_norm,
 )
 from collkit.fields import bump_field, gaussian_field
+from collkit.util import bracket
 
 from conftest import b_cos2, b_ones
 
@@ -261,6 +262,41 @@ def test_field_hessian_matches_analytic():
     v = np.array([0.4, 0.5, -0.6])
     fd = VelocityField(dim=3, eval=g.eval)
     assert np.allclose(fd.hessian(v, rel_tol=1e-10), g.hessian(v), atol=1e-5)
+
+
+def _loop_hessian(f, v, rel_tol):
+    # reference: one field call per stencil point
+    step = rel_tol ** (1.0 / 3.0) * bracket(v)
+    d = len(v)
+    e = step * np.eye(d)
+    H = np.empty((d, d))
+    for i in range(d):
+        H[i, i] = (f(v + e[i]) - 2.0 * f(v) + f(v - e[i])) / step**2
+        for j in range(i + 1, d):
+            H[i, j] = H[j, i] = (f(v + e[i] + e[j]) - f(v + e[i] - e[j])
+                                 - f(v - e[i] + e[j]) + f(v - e[i] - e[j])) / (4.0 * step**2)
+    return H
+
+
+@pytest.mark.parametrize("dim,points", [(2, 9), (3, 19)])
+def test_field_hessian_one_call(dim, points):
+    # all 1 + 2d + 2d(d-1) stencil points go to the evaluator in one batch,
+    # and the differences are those of one call per point, bit for bit
+    g = gaussian_field(dim=dim, theta=0.7)
+    shapes = []
+
+    def counted(v):
+        shapes.append(v.shape)
+        return g.eval(v)
+
+    fd = VelocityField(dim=dim, eval=counted)
+    rng = np.random.default_rng(11)
+    for rel_tol in (1e-4, 1e-6, 1e-10):
+        for v in rng.uniform(-2.5, 2.5, size=(20, dim)):
+            shapes.clear()
+            H = fd.hessian(v, rel_tol=rel_tol)
+            assert shapes == [(points, dim)]
+            assert np.array_equal(H, _loop_hessian(g, v, rel_tol))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

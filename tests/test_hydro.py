@@ -20,8 +20,8 @@ from collkit import (
 )
 from collkit.hydro import (
     LAMBDA_ENVELOPE,
+    ImplosionScenario,
     _eval_lambda,
-    admissible_lambda_envelope,
     critical_gamma,
     specific_entropy,
 )
@@ -43,9 +43,6 @@ def test_state_derived_quantities():
 def test_cold_gas_rejected():
     with pytest.raises(ColdGasError):
         EulerState(rho=1.0, u=(0, 0, 0), theta=0.0)
-    vacuum = EulerState(rho=0.0, u=(0, 0, 0), theta=0.0, vacuum=True)
-    with pytest.raises(ColdGasError):
-        maxwellian_field(vacuum)
 
 
 @pytest.mark.parametrize("kw", [
@@ -131,9 +128,20 @@ def test_admissible_exponent_examples():
 
 def test_lambda_envelope():
     assert LAMBDA_ENVELOPE == pytest.approx(1.6, abs=1e-15)
-    swept = admissible_lambda_envelope()
-    assert swept <= 1.6
-    assert swept == pytest.approx(1.6, abs=1e-4)
+    # at the largest allowed kappa = -3(lambda-1), admissibility ends at 8/5
+    lams = (1.6 - 1e-9, 1.6, 1.6 + 1e-9)
+    assert [admissible_exponent_check(-3.0 * (lam - 1.0), lam) for lam in lams] == [
+        True, False, False]
+
+
+def test_condition_holds_at_its_critical_gamma():
+    # the condition and gamma_c agree to the last bit; the rule's other float
+    # form, (3+gamma)(1/lambda-1) <= -1, is False at gamma_c for 4,557 of these
+    for lam in np.linspace(1.001, 5.0, 20001):
+        gc = critical_gamma(lam)
+        if -3.0 <= gc <= 1.0:
+            assert blowup_integrability_condition(lam, gc), lam
+            assert not blowup_integrability_condition(lam, np.nextafter(gc, -np.inf)), lam
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,19 @@ def test_scenario_verdicts():
     assert cav["verdict"] == "excluded"
 
 
+def test_verdict_boundary_at_critical_gamma():
+    # an attained exponent is open from gamma_c on, inclusive
+    gud = {sc.name: sc for sc in load_catalog()}["guderley-spherical"]
+    gc = critical_gamma(gud.lambda_max)
+    assert gc == 0.22222222222222232
+    assert scenario_verdict(gud, gc)["verdict"] == "open"
+    assert scenario_verdict(gud, np.nextafter(gc, -np.inf))["verdict"] == "excluded"
+    # an open window is open only strictly above gamma_c
+    window = ImplosionScenario("window", 1.0, 1.45, False, "spherical")
+    assert scenario_verdict(window, gc)["verdict"] == "excluded"
+    assert scenario_verdict(window, np.nextafter(gc, np.inf))["verdict"] == "open"
+
+
 def test_coulomb_always_excluded():
     for sc in load_catalog():
         assert scenario_verdict(sc, -3.0)["verdict"] == "excluded"
@@ -217,10 +238,11 @@ def test_moment_round_trip():
 
 
 def test_moments_vacuum_flag():
+    # a vacuum has no temperature, and an EulerState always has one
     q = QuadratureScheme()
     f = maxwellian_field(EulerState(rho=1e-16, u=(0, 0, 0), theta=1.0))
-    out = maxwellian_moments(f, q)
-    assert out.vacuum and out.rho < 1e-14
+    with pytest.raises(ColdGasError, match="vacuum"):
+        maxwellian_moments(f, q)
 
 
 def test_weighted_norm_unweighted_case():

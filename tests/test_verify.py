@@ -317,6 +317,19 @@ def test_m0_search_constant_kernel(q_default, kernel_boltzmann_g0):
     assert rep.certificate[0]["integral"] >= 0.0 >= rep.certificate[1]["integral"]
 
 
+@pytest.mark.parametrize("gamma", [-2.0, 0.0, 1.0])
+@pytest.mark.parametrize("b", [b_ones, b_cos2, lambda x: np.asarray(x, dtype=float) ** -1.0,
+                               lambda x: np.asarray(x, dtype=float) ** -3.0],
+                         ids=["constant", "cos2", "x^-1", "x^-3"])
+def test_m0_is_five_plus_gamma_for_every_b(q_default, b, gamma):
+    # at w = 0 the integrand depends on m - gamma only, and rho -> 1/rho
+    # maps it to minus itself at m - gamma = 5, whatever b is (non-cutoff too)
+    k = KernelSpec(dim=3, gamma=gamma, operator="boltzmann", b=b)
+    rep = boltzmann_m0_search(k, q_default)
+    assert rep.feasible
+    assert rep.value == pytest.approx(5.0 + gamma, abs=1e-3)
+
+
 def test_m0_monotone_in_gamma(q_default):
     vals = []
     for gamma in (-2.0, 0.0):

@@ -46,13 +46,18 @@ A field that cannot be hashed is sampled without the memo.
   node u the plane sums of w_eta f(v + u*eta) [f(v') - f(v)] over eta and
   the inner azimuths, on the inner radii rho = u*x.  The reduction forms B2
   on the (u, x) grid, contracts it with those sums, and takes Q_ns from the
-  outer values.  A plane whose outer value is exactly 0 adds 0 * inner, so
-  its inner points are neither built nor evaluated; a radial node with no
-  such plane left is skipped.  This keys on exact zeros the route computes
-  anyway (compactly supported fields), so results move at most by summation
-  order.  Scope of the finiteness check: ``VelocityField`` rejects a
-  non-finite value only at points it is asked for, so inner points on a
-  zero-weight plane are not checked; every value that enters the sum is.
+  outer values.  eta and -eta give the same plane, and the sphere rule is
+  antipodal bit for bit, so the inner points of -eta are those of eta at
+  mirrored azimuths: they are never built, and the plane of eta is weighted
+  by w_eta f(v + u*eta) + w_eta f(v - u*eta) for both.  A pair whose two
+  outer values are exactly 0 adds 0 * inner, so its inner points are
+  neither built nor evaluated; a radial node with no live pair is skipped.
+  The pairing and the skip key on exact symmetries and exact zeros the route
+  computes anyway (compactly supported fields), so results move at most by
+  summation order.  Scope of the finiteness check: ``VelocityField``
+  rejects a non-finite value only at points it is asked for, so inner
+  points of a skipped pair are not checked; every value that enters the
+  sum is.
 
 Why Q_s needs no regularization for a non-cutoff kernel.  Near rho = 0 the
 bracket is f(v') - f(v) = rho dir . grad f(v) + O(rho^2), and for
@@ -94,13 +99,23 @@ def post_collision_map(v, v_star, sigma, r):
 
     Arguments broadcast over leading axes (r has no trailing vector axis).
     r is passed in because the sigma route already has it as its radial node.
+    Returns one array of shape (2, ..., d) whose rows are v' and v'_*.
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(np.abs(np.linalg.norm(sigma, axis=-1) - 1.0) > 1e-12):
         raise ValueError("sigma must be a unit vector")
-    mid = 0.5 * (np.asarray(v, dtype=float) + v_star)
-    half = 0.5 * np.asarray(r, dtype=float)[..., None] * sigma
-    return mid + half, mid - half
+    v, v_star = np.asarray(v, dtype=float), np.asarray(v_star, dtype=float)
+    half_r = 0.5 * np.asarray(r, dtype=float)
+    shape = np.broadcast_shapes(v.shape, v_star.shape, sigma.shape, half_r.shape + (1,))
+    out = np.empty((2,) + shape)
+    # one component at a time: numpy broadcasts a trailing (d,) operand in
+    # inner loops of length d, several times slower than a scalar per component
+    for k in range(shape[-1]):
+        mid = 0.5 * (v[..., k] + v_star[..., k])
+        half = half_r * sigma[..., k]
+        np.add(mid, half, out=out[0, ..., k])
+        np.subtract(mid, half, out=out[1, ..., k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +168,7 @@ def _sigma_samples(f, v, q):
     for i in range(len(r)):
         # v'_*(sigma) = v'(-sigma) exactly, so the map's two outputs on half
         # the rows are v' and v'_* there, and the rows of -sigma swap them
-        vp = post_collision_map(v, pts[i][None], sigma[half, None], r[i])
-        f_vp, f_vps = f(np.concatenate(vp)).reshape(2, len(half), len(omega))
+        f_vp, f_vps = f(post_collision_map(v, pts[i][None], sigma[half, None], r[i]))
         vals = (f_vp * f_vps - f_v * f_star[i]).ravel()
         sums[i] = np.bincount(pair_classes, weights=np.concatenate([vals, vals]),
                               minlength=len(rep_s))
@@ -199,25 +213,40 @@ def _carleman_samples(f, v, q):
     inner[i, j] = the sum over eta and the inner azimuths of
     w_eta f(v + u_i eta) [f(v') - f(v)].  The inner azimuth count is even,
     so the first-order term of f(v') - f(v) cancels in each such sum.
+
+    eta and -eta share their plane, and the frame of -eta is (-e1, e2), so
+    its inner points are those of eta at the azimuths pi - phi, which the
+    even midpoint rule maps onto itself (phi_k to phi_{N/2-1-k} mod N).
+    Only the planes of one eta per antipodal pair are built, each weighted
+    by w_eta f(v + u eta) + w_eta f(v - u eta), and a pair is skipped only
+    when both of its outer values are exactly 0.
     """
     v = np.array(v)
     f_v = float(f(v))
     outer, u, wu, eta, w_eta = polar_nodes(v, len(v), q)
     f_outer = f(outer)                         # (Nu, Neta)
+    # the rule is antipodal bit for bit: row anti[h] is -eta[h]
+    anti = sphere_antipodes(len(v), q.angular_nodes)
+    half = np.flatnonzero(np.arange(len(eta)) < anti)
     plane_w = w_eta * f_outer
+    plane_w = plane_w[:, half] + plane_w[:, anti[half]]
+    nonzero = f_outer != 0.0
+    live_pairs = nonzero[:, half] | nonzero[:, anti[half]]
     # fixed unit inner radial grid; per-outer-node scaling rho = u * x makes
     # the angular restriction rho <= u exact
-    e1, e2 = orthonormal_complement(eta)
+    e1, e2 = orthonormal_complement(eta[half])
     x, wx, phi, w_phi = plane_rule(q)
     dirs = (np.cos(phi)[None, :, None] * e1[:, None, :]
-            + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Neta, Nphi, 3)
+            + np.sin(phi)[None, :, None] * e2[:, None, :])  # (Nhalf, Nphi, 3)
     inner = np.zeros((len(u), len(x)))
     for i in range(len(u)):
-        # a plane whose outer value is exactly 0 adds 0 * inner: skip it
-        live = np.flatnonzero(f_outer[i])
+        # a pair whose outer values are both exactly 0 adds 0 * inner: skip it
+        live = np.flatnonzero(live_pairs[i])
         if live.size == 0:
             continue
-        vp = v + (u[i] * x)[:, None, None, None] * dirs[None, live]  # (Nx, Nlive, Nphi, 3)
+        vp = np.multiply.outer(u[i] * x, dirs[live])  # (Nx, Nlive, Nphi, 3)
+        for k in range(len(v)):
+            vp[..., k] += v[k]
         inner[i] = np.sum(f(vp) - f_v, axis=2) @ plane_w[i, live]
     read_only(u, wu, w_eta, f_outer, x, wx, inner)
     return f_v, (u, wu, w_eta), f_outer, (x, wx, w_phi), inner

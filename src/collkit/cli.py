@@ -22,9 +22,9 @@ for the three with ``boltzmann`` or ``m0`` in the name, so ``[kernel]`` has
 no ``operator`` key; ``b`` alone decides whether a Boltzmann kernel is
 cutoff.  ``[kernel]`` defaults to dim = 3 and gamma = 0, except gamma = -3
 for ``landau-delta-search`` and gamma = 1 for ``hydro-verdict``.
-Every invocation writes its result artifacts (JSON/CSV) plus a
-``manifest.json`` (echoed config, package version, wall time) into the
-output directory.  Identical config produces byte-identical result
+Every invocation writes its result artifacts (JSON/CSV) into the output
+directory, and once the config has parsed, a ``manifest.json`` (echoed
+config, package version, wall time) on every exit.  Identical config produces byte-identical result
 artifacts; the manifest carries the only non-deterministic field (wall
 time).
 
@@ -258,20 +258,24 @@ def main(argv=None):
     out_dir = Path(args.out)
     try:
         cp = _parse_config(args.config)
-        status = run_command(cp, out_dir)
     except (CollkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    echo = {s: dict(cp[s]) for s in cp.sections()}
-    manifest = {
-        "config": echo,
-        "version": __version__,
-        "wall_time_s": round(time.time() - start, 3),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    try:
+        status = run_command(cp, out_dir)
+    except (CollkitError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 1
+    # a parsed config leaves a manifest on every exit, if its directory was made
+    if out_dir.is_dir():
+        manifest = {
+            "config": {s: dict(cp[s]) for s in cp.sections()},
+            "version": __version__,
+            "wall_time_s": round(time.time() - start, 3),
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        )
     return status
 
 

@@ -19,8 +19,12 @@ def gaussian_field(rho=1.0, u=None, theta=1.0, dim=3):
     norm = rho * (2.0 * np.pi * theta) ** (-dim / 2.0)
 
     def ev(v):
-        dv = v - u
-        return norm * np.exp(-np.sum(dv * dv, axis=-1) / (2.0 * theta))
+        # offset and summed by component, as in bump_field
+        s = 0.0
+        for i in range(dim):
+            dv = v[..., i] - u[i]
+            s += dv * dv
+        return norm * np.exp(-s / (2.0 * theta))
 
     def he(v):
         dv = np.asarray(v, dtype=float) - u
@@ -39,10 +43,15 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
 
     def ev(v):
-        dv = (v - c) / radius
-        # summed by component: as fast as einsum, and bit-identical to
-        # np.sum(dv * dv, axis=-1), whose strided reduction is the slow part
-        s = np.asarray(sum(dv[..., i] * dv[..., i] for i in range(dim)))
+        # offset and summed by component: bit-identical to np.sum(dv * dv,
+        # axis=-1) with dv = (v - c) / radius, and several times faster.
+        # dv * dv, not dv ** 2: a numpy scalar's power is C pow, which can
+        # differ from the product in the last bit
+        s = 0.0
+        for i in range(dim):
+            dv = (v[..., i] - c[i]) / radius
+            s += dv * dv
+        s = np.asarray(s)
         inside = s < 1.0
         out = np.zeros(s.shape)
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))

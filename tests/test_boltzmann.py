@@ -17,9 +17,10 @@ from collkit import (
     q_boltzmann_sigma,
     q_landau,
 )
-from collkit.boltzmann import collision_frequency_scale
+from collkit.boltzmann import collision_frequency_scale, plane_rule
 from collkit.fields import bump_field, gaussian_field
-from collkit.landau import polar_nodes
+from collkit.landau import polar_convolution, polar_nodes
+from collkit.util import orthonormal_complement, sphere_antipodes
 
 from conftest import b_cos2, b_ones
 
@@ -56,6 +57,9 @@ def test_collision_invariants(pairs, ang):
     assert np.all(np.abs(e_out - e_in) <= 1e-11 * scale**2)
     # relative speed
     assert np.all(np.abs(np.linalg.norm(vp - vps, axis=-1) - r) <= 1e-12 * scale)
+    # the same IEEE operations as the textbook vector form
+    mid, half = 0.5 * (v + vs), 0.5 * r[:, None] * sigma
+    assert np.array_equal(vp, mid + half) and np.array_equal(vps, mid - half)
     # each row is what the map gives for that pair alone
     for i in range(len(r)):
         one_p, one_ps = post_collision_map(v[i], vs[i], sigma, r[i])
@@ -280,20 +284,60 @@ def test_sigma_evaluates_each_outgoing_point_once(q_fast):
 def test_carleman_evaluates_only_live_planes(q_fast, make_field):
     # f(v) once, f at every outer point v + u eta (the values of both the
     # plane weights and the Q_ns convolution), and the N_x * N_phi inner
-    # points of each plane whose outer value is nonzero
+    # points of one plane per antipodal pair (eta, -eta) whose outer value
+    # is nonzero at either end
     k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
     base = make_field()
     f, seen = counting(base)
     v = np.array([0.5, 0.2, 0.0])
     q_boltzmann_carleman(f, v, k, q_fast)
     outer, u, _, eta, _ = polar_nodes(v, 3, q_fast)
-    live = np.count_nonzero(base(outer), axis=1)
+    anti = sphere_antipodes(3, q_fast.angular_nodes)
+    nonzero = base(outer) != 0.0
+    pairs = np.arange(len(eta)) < anti
+    live = np.count_nonzero((nonzero | nonzero[:, anti])[:, pairs], axis=1)
     if make_field is gaussian_field:
-        assert np.all(live == len(eta))
+        assert np.all(live == len(eta) // 2)
     else:
-        assert np.any(live == 0) and 0 < live.sum() < len(u) * len(eta)
+        assert np.any(live == 0) and 0 < live.sum() < len(u) * len(eta) // 2
     per_plane = (4 * q_fast.hyperplane_nodes) * (2 * q_fast.angular_nodes)
     assert sum(seen) == 1 + len(u) * len(eta) + per_plane * live.sum()
+
+
+def carleman_reference(f, v, k, q):
+    """(Q_s, Q_ns) with the inner points of every plane with a nonzero outer value, -eta's too."""
+    f_v = float(f(v))
+    outer, u, wu, eta, w_eta = polar_nodes(v, 3, q)
+    f_outer = f(outer)
+    e1, e2 = orthonormal_complement(eta)
+    x, wx, phi, w_phi = plane_rule(q)
+    inner = np.zeros((len(u), len(x)))
+    for i in range(len(u)):
+        for j in np.flatnonzero(f_outer[i]):
+            dirs = np.cos(phi)[:, None] * e1[j] + np.sin(phi)[:, None] * e2[j]
+            vp = v + (u[i] * x)[:, None, None] * dirs  # (Nx, Nphi, 3)
+            inner[i] += w_eta[j] * f_outer[i, j] * np.sum(f(vp) - f_v, axis=1)
+    rho = u[:, None] * x
+    rr = np.sqrt(rho * rho + (u * u)[:, None])
+    b2 = 4.0 * rr ** (k.gamma - 1.0) * k.b_folded(rho / rr) / u[:, None]
+    qs = w_phi * np.sum((wu * u)[:, None] * wx * rho * b2 * inner)
+    return qs, k.cb * f_v * polar_convolution(u, wu, w_eta, f_outer, k.gamma)
+
+
+@pytest.mark.parametrize("make_field, b", [
+    (lambda: bump_field(center=[0.3, 0.0, 0.0], radius=1.1), b_ones),
+    (gaussian_field, b_ones),
+    (gaussian_field, lambda x: np.asarray(x, dtype=float) ** -3.0),
+], ids=["bump", "gaussian", "gaussian-noncutoff"])
+def test_carleman_pairs_match_plane_by_plane_sum(q_fast, make_field, b):
+    # one plane per antipodal pair, weighted by both outer values, is the
+    # plane-by-plane sum up to summation order; a Maxwellian's Q_s and Q_ns
+    # cancel, so the error is measured against their sizes.  v is off every
+    # mirror plane of the rule, where one end of a pair could stand for both
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+    f, v = make_field(), np.array([0.5, 0.2, 0.3])
+    qs, qns = carleman_reference(f, v, k, q_fast)
+    assert abs(q_boltzmann_carleman(f, v, k, q_fast) - (qs + qns)) <= 1e-12 * (abs(qs) + abs(qns))
 
 
 def test_carleman_rejects_gamma_minus_d(q_fast):

@@ -172,6 +172,7 @@ def test_homog_run_abort_leaves_log(tmp_path, capsys, monkeypatch):
                    "steps": 1, "final_time": 0.25}
     lines = (out_dir / "runlog.csv").read_text().splitlines()
     assert len(lines) == 3 and lines[2].startswith("0.25,1.1,")
+    assert (out_dir / "manifest.json").exists()
 
     def aborting_without_log(f0, k, q, t_end, cfl, m):
         raise RunAbortedError("time step underflow")
@@ -183,6 +184,17 @@ def test_homog_run_abort_leaves_log(tmp_path, capsys, monkeypatch):
     doc = json.loads((out_dir / "result.json").read_text())
     assert doc["aborted"] and doc["steps"] is None and doc["final_time"] is None
     assert not (out_dir / "runlog.csv").exists()
+
+
+def test_failed_run_leaves_manifest(tmp_path, capsys):
+    # once the config has parsed, exit 1 writes the same manifest as exit 0;
+    # here the box is too small to contain the initial Gaussian
+    code, out_dir = run_cli(tmp_path, "[run]\ncommand = homog-run\n\n"
+                                      "[homog-run]\nn = 8\nbox_radius = 2\ntheta = 1\n")
+    assert code == 1 and "breaks containment" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert sorted(manifest) == ["config", "version", "wall_time_s"]
+    assert manifest["config"]["homog-run"] == {"n": "8", "box_radius": "2", "theta": "1"}
 
 
 def test_empty_config_rejected(tmp_path):

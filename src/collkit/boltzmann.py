@@ -78,16 +78,14 @@ Carleman route also rejects gamma <= -d before any sampling.
 """
 
 import functools
-import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import CapabilityError, UnsupportedParameterError
 from .landau import polar_convolution, polar_nodes
 from .util import (
     circle_rule, graded_panels, orthonormal_complement, read_only, sphere_antipodes,
-    sphere_area, sphere_pair_classes,
+    sphere_pair_classes,
 )
 
 
@@ -290,13 +288,11 @@ def collision_frequency_scale(f, v, k, q):
     Boltzmann point value's error is measured.  The convolution is the polar
     rule's sum (:func:`collkit.landau.polar_convolution`), which is finite
     for any power, so at gamma = -d it is still a finite scale.
-    A non-cutoff b has no finite angular mass, so it is rejected.
+    A non-cutoff b has no ``KernelSpec.angular_mass``, so it is rejected.
     """
-    if not k.is_cutoff:
+    if k.angular_mass is None:
         raise ValueError("collision_frequency_scale needs a cutoff Boltzmann kernel; "
                          "the angular mass of b diverges otherwise")
     pts, r, wr, _, ws = polar_nodes(v, k.dim, q)
     conv = polar_convolution(r, wr, ws, f(pts), k.gamma)
-    ang, _ = quad(lambda t: math.sin(t) ** (k.dim - 2) * float(k.b(math.sin(t / 2.0))),
-                  0.0, math.pi)
-    return float(f(v)) * sphere_area(k.dim - 1) * ang * conv
+    return float(f(v)) * k.angular_mass * conv

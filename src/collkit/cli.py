@@ -207,7 +207,7 @@ def _hydro_verdict(cp, sec, q, out_dir):
     return 0
 
 
-_POINT = {"outer_radius", "polar_radius", "radial_nodes", "angular_nodes"}
+_POINT = {"outer_radius", "radial_nodes", "angular_nodes"}
 _PLANE = {"hyperplane_nodes", "angular_nodes"}
 
 # command name -> (handler, {section: keys the command reads}); besides

@@ -1,8 +1,8 @@
 """Domain types shared by every operator module.
 
 Velocity fields are black-box evaluators.
-Kernel constants derived from the angular cross-section b (the cutoff flag
-and the Carleman prefactor C_b) are computed here, beside :class:`KernelSpec`.
+Kernel constants derived from the angular cross-section b (the cutoff flag, the
+Carleman prefactor C_b, the angular mass) are computed here, and only here.
 The comparison barrier equals ``alpha * |v|**-m`` outside the half ball and
 is glued with a C^2 radial polynomial inside.  The weight bracket is always
 ``<v> = sqrt(1 + |v|^2)``; no alternative weight family is configurable.
@@ -23,12 +23,10 @@ class VelocityField:
     """A nonnegative function on d-dimensional velocity space.
 
     ``eval`` maps an array of shape (..., dim) to values of shape (...);
-    ``dim`` and ``eval`` are a complete field.  ``decay_exponent`` m and
-    ``inner_void_radius`` delta are optional declarations, read only by
-    :func:`collkit.verify.crude_bound_check`, whose hypotheses they are:
-    f <= |v|^-m everywhere and f == 0 on the open ball of radius delta.
-    That check samples both; nothing else trusts them.  ``hess_eval`` is
-    optional: without it, :meth:`hessian` uses central differences.
+    ``dim`` and ``eval`` are a complete field.  ``hess_eval`` is optional:
+    without it, :meth:`hessian` uses central differences.  A field declares
+    nothing about itself; a check that needs a hypothesis (the crude
+    bound's decay and void) takes it as an argument and samples it.
 
     Instances are immutable; all evaluations must be pure.  Equal fields
     therefore share samples: the Boltzmann routes reuse the values of
@@ -38,8 +36,6 @@ class VelocityField:
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     hess_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    decay_exponent: Optional[float] = None
-    inner_void_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 2:
@@ -82,8 +78,7 @@ class VelocityField:
 class QuadratureScheme:
     """Node counts and radii controlling every integral in the library.
 
-    outer_radius:  velocity integrals truncated to |w| <= outer_radius.
-    polar_radius:  singularity-centered polar nodes used inside this radius.
+    outer_radius:  velocity integrals truncated to |w| <= outer_radius (> landau.POLAR_RADIUS).
     radial_nodes:  panels in each graded radial rule (4-point Gauss per panel).
     angular_nodes: polar resolution of sphere rules (azimuthal is twice this).
     hyperplane_nodes: panels in hyperplane radial rules.
@@ -91,7 +86,6 @@ class QuadratureScheme:
     """
 
     outer_radius: float = 8.0
-    polar_radius: float = 1.0
     radial_nodes: int = 12
     angular_nodes: int = 12
     hyperplane_nodes: int = 16
@@ -100,8 +94,6 @@ class QuadratureScheme:
     def __post_init__(self):
         if not 1.0 < self.outer_radius < np.inf:
             raise ValueError(f"outer_radius must be finite and exceed 1, got {self.outer_radius}")
-        if not 0.0 < self.polar_radius < self.outer_radius:
-            raise ValueError("need 0 < polar_radius < outer_radius")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"need 0 < rel_tol < 1, got {self.rel_tol}")
         for name in ("radial_nodes", "angular_nodes", "hyperplane_nodes"):
@@ -128,10 +120,16 @@ def _grazing_probe(integrand, upper):
         raise KernelRejectionError(
             f"angular integrability fails: integrand ~ t^{p:.3f} near grazing"
         )
+    _angular_quad(integrand, upper)
+    return p
+
+
+def _angular_quad(integrand, upper):
+    """Integral over deviation angles [0, upper] of a weight times b, rejected unless finite."""
     val, _ = quad(integrand, 0.0, upper, limit=200, points=[1e-4, 1e-2])
     if not np.isfinite(val):
-        raise KernelRejectionError("angular integrability integral is not finite")
-    return p
+        raise KernelRejectionError("angular integral of b is not finite")
+    return val
 
 
 def cb_constant(k):
@@ -152,8 +150,7 @@ def cb_constant(k):
         beff = k.b_folded(np.sin(theta / 2.0))
         return np.sin(theta) ** (d - 2) * beff * (np.cos(theta / 2.0) ** (-(d + g)) - 1.0)
 
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, limit=200, points=[1e-4, 1e-2])
-    return float(sphere_area(d - 1) * val)
+    return float(sphere_area(d - 1) * _angular_quad(integrand, np.pi / 2.0))
 
 
 @dataclass(frozen=True)
@@ -163,11 +160,12 @@ class KernelSpec:
     For Boltzmann, ``b`` is the angular cross-section as a function of
     sin(theta/2), vectorized over arrays.  Nothing else about b is declared:
     on construction its grazing behaviour is measured (:func:`_grazing_probe`
-    on the angular integrability integral of sin(theta/2)^2 b), and two
+    on the angular integrability integral of sin(theta/2)^2 b), and three
     results are stored, not set.  ``is_cutoff`` says whether b itself is
     integrable on the sphere (the probed integrand's power exceeds 1);
     ``cb`` is the prefactor of the nonsingular Carleman term, computed from
-    the cancellation integral (see :func:`cb_constant`).
+    the cancellation integral (see :func:`cb_constant`); ``angular_mass`` is
+    |S^{d-2}| int_0^pi sin^{d-2} b(sin(theta/2)) dtheta if cutoff, else None.
     Cross-sections whose integrability integral diverges are rejected.
     """
 
@@ -177,6 +175,7 @@ class KernelSpec:
     b: Optional[Callable[[np.ndarray], np.ndarray]] = None
     is_cutoff: Optional[bool] = field(default=None, init=False, compare=False)
     cb: Optional[float] = field(default=None, init=False, compare=False)
+    angular_mass: Optional[float] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.operator not in ("landau", "boltzmann"):
@@ -209,6 +208,10 @@ class KernelSpec:
             p = _grazing_probe(integrand, np.pi)
             object.__setattr__(self, "is_cutoff", bool(p > 1.0 + 1e-6))
             object.__setattr__(self, "cb", cb_constant(self))
+            if self.is_cutoff:
+                mass = _angular_quad(lambda t: np.sin(t) ** (self.dim - 2) * self.b(np.sin(t / 2)),
+                                     np.pi)
+                object.__setattr__(self, "angular_mass", float(sphere_area(self.dim - 1) * mass))
 
     def b_folded(self, x):
         """Cross-section folded onto deviation angles <= pi/2.
@@ -312,7 +315,7 @@ def make_barrier(m, alpha):
     barrier = Barrier(m=float(m), alpha=float(alpha), inner_coeffs=tuple(map(float, coeffs)))
 
     r = np.linspace(1e-6, 0.5, 2001)
-    prof = barrier._b1_radial(r) / alpha
+    prof = barrier._b1_radial(r)
     if np.any(np.diff(prof) > 1e-12 * prof[0]):
         raise RuntimeError("barrier inner profile is not non-increasing")
     if np.any(prof > r ** (-m) * (1.0 + 1e-12)):

@@ -76,7 +76,7 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
 def shell_field(m, delta, dim=3):
     """Smoothed |v|^{-m} cut off to zero inside |v| < delta.
 
-    The crude-bound hypotheses in one constructor: f <= |v|^{-m} everywhere,
+    The crude-bound hypotheses for the same m and delta: f <= |v|^{-m} everywhere,
     f == 0 on B_delta, f(e) = 1 for any unit vector e outside the taper zone.
     The taper is a smoothstep over [delta, 1.02 delta].
     """
@@ -92,7 +92,7 @@ def shell_field(m, delta, dim=3):
             pw = np.where(rr > 0, rr, 1.0) ** (-m)
         return chi * np.minimum(pw, lo ** (-m))
 
-    return VelocityField(dim=dim, eval=ev, decay_exponent=float(m), inner_void_radius=lo)
+    return VelocityField(dim=dim, eval=ev)
 
 
 def bump_suite(n, dim=3):

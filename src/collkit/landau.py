@@ -27,17 +27,20 @@ class LandauCoefficients:
     c_bar: float
 
 
+POLAR_RADIUS = 1.0  # polar_nodes grades toward r = 0 inside this radius
+
+
 def polar_nodes(v, dim, q):
     """Quadrature nodes w = v + r*sigma covering the ball |w - v| <= V + |v|.
 
     Returns (points (Nr, Ns, dim), r (Nr,), radial weights including r^{d-1},
-    sigma (Ns, dim), angular weights).  Graded panels toward r = 0 resolve
-    the kernel singularity; log-spaced panels cover the tail.
+    sigma (Ns, dim), angular weights).  Graded panels on r <= POLAR_RADIUS
+    resolve the kernel singularity; log-spaced panels cover the tail.
     """
     v = np.asarray(v, dtype=float)
     r_max = q.outer_radius + float(np.linalg.norm(v))
-    r_head, w_head = graded_panels(0.0, q.polar_radius, q.radial_nodes, ratio=2.0)
-    r_tail, w_tail = geometric_panels(q.polar_radius, r_max, q.radial_nodes)
+    r_head, w_head = graded_panels(0.0, POLAR_RADIUS, q.radial_nodes, ratio=2.0)
+    r_tail, w_tail = geometric_panels(POLAR_RADIUS, r_max, q.radial_nodes)
     r = np.concatenate([r_head, r_tail])
     wr = np.concatenate([w_head, w_tail]) * r ** (dim - 1)
     sigma, ws = sphere_rule(dim, q.angular_nodes)

@@ -443,29 +443,26 @@ def _grid_meta(q):
 # Crude large-velocity bound
 
 
-def crude_bound_check(f, e, k, q):
-    """Q(f,f)(e) for a field satisfying the crude-bound hypotheses.
+def crude_bound_check(f, e, m, delta, k, q):
+    """Q(f,f)(e) for a field satisfying the crude-bound hypotheses with m and delta.
 
-    The field declares m (``decay_exponent``) and delta
-    (``inner_void_radius``); both are required.  Checked at the nodes of
-    the weighted-sup-norm sample and at e: f <= |v|^{-m}, f == 0 inside
-    |v| < delta, and f(e) = 1 at the given unit vector.
+    The hypotheses are f <= |v|^{-m} everywhere, f == 0 inside |v| < delta,
+    and f(e) = 1 at the given unit vector; m must be finite and positive and
+    delta in (0, 1).  They are checked at the nodes of the weighted-sup-norm
+    sample and at e.
     """
+    if not (0.0 < m < np.inf and 0.0 < delta < 1.0):
+        raise ValueError(f"crude bound needs finite m > 0 and 0 < delta < 1, got {m}, {delta}")
     e = np.asarray(e, dtype=float)
     if abs(np.linalg.norm(e) - 1.0) > 1e-9:
         raise ConfigurationError("e must be a unit vector")
-    m, delta = f.decay_exponent, f.inner_void_radius
-    if m is None:
-        raise ConfigurationError("field must declare its decay exponent (decay_exponent unset)")
-    if delta is None:
-        raise ConfigurationError("field must vanish on an inner ball (void radius unset)")
     if abs(float(f(e)) - 1.0) > 1e-6:
         raise ConfigurationError("field must equal 1 at e")
     pts = _norm_sample_points(f.dim, q)
     rr = np.linalg.norm(pts, axis=-1)
     vals = f(pts)
     if np.any(vals[rr < delta] != 0.0):
-        raise ConfigurationError(f"field is nonzero inside its declared void radius {delta}")
+        raise ConfigurationError(f"field is nonzero inside the void radius {delta}")
     mask = rr > 1e-12
     with np.errstate(divide="ignore"):
         cap = rr[mask] ** (-m)

@@ -254,10 +254,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 def test_command_table_is_the_whitelist(tmp_path, capsys):
     # every key a command reads fails on an unreadable value, and every other
-    # [kernel] or [quadrature] key, including the former operator, is unknown
+    # [kernel] or [quadrature] key, including the former operator and
+    # polar_radius, is unknown
     shared = {"kernel": {"dim", "gamma", "b", "operator"},
-              "quadrature": {f.name for f in dataclasses.fields(QuadratureScheme)}}
-    assert sum(len(keys) for _, row in COMMANDS.values() for keys in row.values()) == 43
+              "quadrature": {f.name for f in dataclasses.fields(QuadratureScheme)}
+              | {"polar_radius"}}
+    assert sum(len(keys) for _, row in COMMANDS.values() for keys in row.values()) == 41
     for cmd, (_, row) in COMMANDS.items():
         for section, keys in row.items():
             for key in sorted(keys):

@@ -106,6 +106,14 @@ def test_barrier_alpha_linearity():
     assert np.allclose(b2.hessian(v), 2.0 * b1.hessian(v))
 
 
+def test_barrier_alpha_below_one():
+    # the construction checks b1 itself against |v|^-m, so alpha < 1 is
+    # accepted like any other positive scale
+    half = make_barrier(5.0, 0.5)
+    v = np.array([0.3, 0.2, -0.1])
+    assert half.value(v) == pytest.approx(0.5 * make_barrier(5.0, 1.0).value(v))
+
+
 def test_barrier_dominance_inside():
     b = make_barrier(5.0, 1.0)
     assert b.value(np.array([0.4, 0.0, 0.0])) <= 0.4**-5
@@ -240,6 +248,25 @@ def test_is_cutoff_derived_from_b(b, cutoff):
     assert np.isfinite(k.cb) and k.cb > 0.0
 
 
+@pytest.mark.parametrize("b, mass", [
+    (b_ones, 4.0 * np.pi),
+    (b_cos2, 2.0 * np.pi),
+    (lambda x: np.asarray(x, dtype=float) ** -1.0, 8.0 * np.pi),
+    (lambda x: np.asarray(x, dtype=float) ** -3.0, None),
+], ids=["ones", "cos2", "x^-1", "x^-3"])
+def test_angular_mass_closed_forms(b, mass):
+    # 2 pi int_0^pi sin(theta) b(sin(theta/2)) dtheta; b = x^-3 is not cutoff
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
+    if mass is None:
+        assert k.angular_mass is None
+    else:
+        assert k.angular_mass == pytest.approx(mass, rel=1e-13)
+
+
+def test_landau_kernel_has_no_angular_mass():
+    assert KernelSpec(dim=3, gamma=0.0, operator="landau").angular_mass is None
+
+
 def test_b_folded_convention(kernel_boltzmann_g0):
     x = np.array([0.0, 0.3, 0.7071067811865476])
     assert np.allclose(kernel_boltzmann_g0.b_folded(x), 2.0)
@@ -247,7 +274,7 @@ def test_b_folded_convention(kernel_boltzmann_g0):
 
 def test_quadrature_invariants():
     for bad in ({"outer_radius": 0.5}, {"outer_radius": np.inf}, {"outer_radius": np.nan},
-                {"polar_radius": 9.0}, {"radial_nodes": 1},
+                {"radial_nodes": 1},
                 {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": 1.0}, {"rel_tol": np.nan}):
         with pytest.raises(ValueError):
             QuadratureScheme(**bad)

@@ -11,8 +11,10 @@ collkit modules import each other only at module top level, so the import
 graph is the one the module headers show; an import inside a function can
 hide a cycle.
 
-Every ``QuadratureScheme`` field must be read as an attribute by some module
-outside the class itself; the CLI takes one ``[quadrature]`` key per field.
+Every ``QuadratureScheme`` and ``KernelSpec`` field must be read as an
+attribute by some module outside the class itself: the CLI takes one
+``[quadrature]`` key per scheme field, and a derived kernel constant that
+only the class reads is work done for nothing.
 """
 
 import ast
@@ -146,7 +148,9 @@ def test_checker_flags_an_unread_field():
 
 
 def test_every_quadrature_field_is_read():
-    # the CLI accepts a [quadrature] key per field, so an unread field is a
-    # key that does nothing
+    # the CLI accepts a [quadrature] key per scheme field, so an unread field
+    # is a key that does nothing; a kernel constant is computed on every
+    # construction, so an unread one is wasted work
     sources = {p.name: p.read_text() for p in MODULES}
-    assert unread_fields(sources, "core.py", "QuadratureScheme") == []
+    for cls in ("QuadratureScheme", "KernelSpec"):
+        assert unread_fields(sources, "core.py", cls) == [], cls

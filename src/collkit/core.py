@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import EvaluationError, KernelRejectionError, UnsupportedParameterError
 from .util import bracket, sphere_area, sphere_rule
@@ -125,7 +124,13 @@ def _grazing_probe(integrand, upper):
 
 
 def _angular_quad(integrand, upper):
-    """Integral over deviation angles [0, upper] of a weight times b, rejected unless finite."""
+    """Integral over deviation angles [0, upper] of a weight times b, rejected unless finite.
+
+    scipy.integrate is imported here, the only ``quad`` call, so that Landau
+    kernels and the solver never load it.
+    """
+    from scipy.integrate import quad
+
     val, _ = quad(integrand, 0.0, upper, limit=200, points=[1e-4, 1e-2])
     if not np.isfinite(val):
         raise KernelRejectionError("angular integral of b is not finite")

@@ -22,8 +22,11 @@ Contents:
   + rho))/2, so |z|^{-m} keeps full precision near z = e.  With phi measured
   from the projection of e, e.ehat = A cos(phi), A = |(w_y, w_z)| / |e - w|,
   so the integrand is even in phi and half the midpoint azimuths, at doubled
-  weight, give the full circle.  The rule is built once per scheme
-  (:func:`_hyperplane_rule`), and the arithmetic runs in cache-sized blocks;
+  weight, give the full circle.  Only |z| depends on phi: each node takes
+  one exponential of -m log|z| (expm1 for rho <= 0.05, exp beyond), summed
+  over phi before the phi-free factors are applied.  The rule is built once
+  per scheme (:func:`_hyperplane_rule`), and the arithmetic runs in
+  cache-sized blocks;
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
 
 Search resolutions are fixed, and each report records the ones it used.
@@ -53,6 +56,8 @@ from .util import bracket, geometric_panels, read_only
 _GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
 _BLOCK_ELEMENTS = 2**15  # doubles per hyperplane-integral block; see its docstring
+_HEAD_RADIUS = 0.05      # hyperplane radii summed as expm1(lz) rather than exp(lz)
+_E3 = read_only(np.array([1.0, 0.0, 0.0]))[0]
 
 # the Landau sup's angle grid does not depend on delta
 _COS_PSI, _SIN_PSI = read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
@@ -177,16 +182,15 @@ def contact_estimate_check(cfg, k, q):
 def _require_finite(**values):
     """Raise ValueError naming the first argument that is, or holds, a NaN or an infinity."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             shown = f", got {value}" if np.ndim(value) == 0 else " in every entry"
             raise ValueError(f"{name} must be finite{shown}")
 
 
-def _landau_g(z0, z2, m, d, gamma):
-    """G from z = e - w: its first coordinate z0 and its squared norm z2."""
-    # Pi(z)e.e = 1 - (z.e)^2/|z|^2
-    pi_ee = 1.0 - z0**2 / z2
-    return m * z2 * ((m + 2.0) * pi_ee - (d - 1.0)) + (d - 1.0) * (d + gamma)
+def _landau_g(z0, zp2, m, d, gamma):
+    """G from z = e - w: its first coordinate z0 and the squared norm zp2 of the rest."""
+    # |z|^2 Pi(z)e.e = |z|^2 - (z.e)^2 = zp2, so no division by |z|^2
+    return m * ((m + 3.0 - d) * zp2 - (d - 1.0) * (z0 * z0)) + (d - 1.0) * (d + gamma)
 
 
 def landau_integrand_g(w, m, d, gamma):
@@ -194,13 +198,15 @@ def landau_integrand_g(w, m, d, gamma):
 
     e is the first coordinate direction; w has shape (..., d).  Negativity of
     G on B_delta is what makes the small-velocity contact contribution
-    sign-definite.
+    sign-definite.  With z = e - w = (z0, z_perp) it is evaluated as
+    m [(m+3-d)|z_perp|^2 - (d-1) z0^2] + (d-1)(d+gamma), without division.
     """
     w = np.asarray(w, dtype=float)
     e = np.zeros(d)
     e[0] = 1.0
     z = e - w
-    return _landau_g(z[..., 0], np.sum(z * z, axis=-1), m, d, gamma)
+    zp = z[..., 1:]
+    return _landau_g(z[..., 0], np.sum(zp * zp, axis=-1), m, d, gamma)
 
 
 def landau_integrand_sup(m, d, gamma, delta):
@@ -208,8 +214,8 @@ def landau_integrand_sup(m, d, gamma, delta):
 
     By rotational symmetry about e the domain is two-dimensional: on the
     (96, 96) grid w = rho (cos psi, sin psi, 0, ...), z = e - w has
-    z0 = 1 - rho cos psi and squared norm z0^2 + (rho sin psi)^2, so no
-    d-vector is formed.
+    z0 = 1 - rho cos psi and the rest of its squared norm (rho sin psi)^2, so
+    no d-vector is formed.
     """
     _require_finite(m=m, gamma=gamma)
     if d < 2:
@@ -219,9 +225,8 @@ def landau_integrand_sup(m, d, gamma, delta):
     if m <= 0:
         raise ValueError("m must be positive")
     rho = np.linspace(0.0, delta, _GRID_N)[:, None]
-    z0 = 1.0 - rho * _COS_PSI
     z1 = rho * _SIN_PSI
-    return float(np.max(_landau_g(z0, z0 * z0 + z1 * z1, m, d, gamma)))
+    return float(np.max(_landau_g(1.0 - rho * _COS_PSI, z1 * z1, m, d, gamma)))
 
 
 def landau_delta_search(m, d, gamma):
@@ -263,18 +268,22 @@ def landau_delta_search(m, d, gamma):
 
 @functools.lru_cache(maxsize=1)
 def _hyperplane_rule(q):
-    """(rho, w_rho, cos_phi, w_phi) of the hyperplane integral, once per scheme.
+    """(rho, w_rho, rho2, two_rho_cos, n_head, w_phi) of the hyperplane integral, once per scheme.
 
     The graded head of :func:`collkit.boltzmann.plane_rule` on [0, 1] and a
-    geometric tail on [1, 1e4]; rho and w_rho (which carries the plane's
-    measure rho) have shape (Nr, 1); cos_phi and w_phi are the first half of
-    the circle at doubled weight.  Read-only, since every call shares them.
+    geometric tail on [1, 1e4]: the Nr radii rho, their weights w_rho (which
+    carry the plane's measure rho) and rho**2.  two_rho_cos, of shape
+    (Nphi, Nr), is 2 rho cos(phi) over the first half of the circle, whose
+    weight w_phi is doubled.  The first n_head radii, rho <= _HEAD_RADIUS,
+    are the innermost nodes.  Read-only, since every call shares them.
     """
     rho_h, w_h, phi, w_phi = plane_rule(q)
     rho_t, w_t = geometric_panels(1.0, 1e4, 2 * q.hyperplane_nodes)
-    rho = np.concatenate([rho_h, rho_t])[:, None]
-    w_rho = np.concatenate([w_h, w_t])[:, None] * rho
-    return read_only(rho, w_rho, np.cos(phi[:len(phi) // 2])) + (2.0 * w_phi,)
+    rho = np.concatenate([rho_h, rho_t])
+    w_rho = np.concatenate([w_h, w_t]) * rho
+    two_rho_cos = np.multiply.outer(2.0 * np.cos(phi[:len(phi) // 2]), rho)
+    n_head = int(np.searchsorted(rho, _HEAD_RADIUS, side="right"))
+    return read_only(rho, w_rho, rho * rho, two_rho_cos) + (n_head, 2.0 * w_phi)
 
 
 def boltzmann_hyperplane_integral(m, w, k, q):
@@ -295,24 +304,40 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     The plane is parametrised as z = e + rho*ehat, ehat a unit vector
     orthogonal to (e - w) at azimuth phi from the projection of e onto the
     plane.  Then e.ehat = A cos(phi) with A = |(w_y, w_z)| / |e - w| (0 when
-    w is parallel to e), |z|^2 = 1 + rho*(2 e.ehat + rho), and
-    log|z| = log1p(rho*(2 e.ehat + rho))/2 without forming z.  Nothing else
-    depends on phi, so the integrand is even in phi: the midpoint azimuths
-    pair up as phi <-> 2 pi - phi, and only the first half is summed, at
-    weight 2 w_phi.  The value does not change when w rotates about e.  The
-    bracket vanishes as z -> e; it is evaluated as L*expm1(Delta) with
-    L = |e-w|^{gamma+d} r^{-2(d-1)} and
-    Delta = -m log|z| + (d+gamma) log(r/|e-w|), which is exact and keeps
-    full precision where the non-cutoff kernel is largest.
+    w is parallel to e), |z|^2 = 1 + A 2rho cos(phi) + rho^2, and
+    lz = -m log|z| = -(m/2) log1p(A 2rho cos(phi) + rho^2) without forming z.
+    Nothing else depends on phi, so the integrand is even in phi: the
+    midpoint azimuths pair up as phi <-> 2 pi - phi, and only the first half
+    is summed, at weight 2 w_phi.  The value does not change when w rotates
+    about e.
 
-    The (rows, Nr, Nphi) arithmetic runs over blocks of at most
-    ``_BLOCK_ELEMENTS`` = 2**15 doubles (256 KB; 14 rows of (192, 12) at the
-    default scheme) in two buffers reused by every block, which stay in L2
-    cache through the ~11 elementwise passes; a whole delta scan,
-    (64, 192, 12), would take 1.2 MB per buffer.  Each row is still summed on
-    its own over the same layout, so the values do not depend on the block size.
-    Every check runs before any block: a bad row raises before a value is
-    computed, and a non-finite result raises after the last.
+    With L = |e-w|^{gamma+d} r^{-2(d-1)} b(rho/r) w_rho, G = r^{2-d+gamma}
+    b(|e-w|/r) w_rho and s = (d+gamma) log(r/|e-w|), the node's bracket is
+    L expm1(lz + s) + G e^{lz}, which vanishes as z -> e.  Only lz depends on
+    phi, so each node takes one transcendental of lz, summed over phi into a
+    (rows, Nr) array, and the phi-free factors are applied to those sums.
+    L e^s = r^{2-d+gamma} b(rho/r) w_rho is formed as written, so no large
+    intermediate factor appears:
+
+    * the innermost radii, rho <= _HEAD_RADIUS = 0.05: U = sum of expm1(lz),
+      and the node sum is (L e^s + G) U + Nphi (L expm1(s) + G).  This keeps
+      full precision near z = e, where the non-cutoff kernel is largest.
+    * all other radii: P = sum of exp(lz), and the node sum is
+      (L e^s + G) P - Nphi L.  U here would cancel large r^{gamma-1} terms
+      where e^{lz} << 1: with U up to rho = 1, I(5 + gamma, 0), which is
+      exactly 0, reads 7e-6 of I(gamma + 2, 0) at gamma = 76, against the
+      rule's own 3.4e-9 at every gamma.
+
+    lz is laid out as (rows, Nphi, Nr), so the phi-sum adds contiguous rows
+    of Nr.  The rule caches 2 rho cos(phi) and rho^2, so lz is one scaled
+    copy and one add before its log1p.  It is computed over blocks of at
+    most ``_BLOCK_ELEMENTS`` = 2**15 doubles (256 KB; 14 rows of (12, 192) at
+    the default scheme) in one buffer reused by every block, which stays in
+    L2 cache through its passes; a whole delta scan, (64, 12, 192), would
+    take 1.2 MB.  Each row is summed on its own over the same layout, so the
+    values do not depend on the block size.  Every check runs before any
+    block: a bad row raises before a value is computed, and a non-finite
+    result raises after the last.
     """
     d = k.dim
     if d != 3:
@@ -323,41 +348,53 @@ def boltzmann_hyperplane_integral(m, w, k, q):
     _require_finite(m=m, w=w)
     batch = w.shape[:-1]
     w = w.reshape(-1, d)
-    if np.any(np.linalg.norm(w, axis=-1) >= 0.5):
+    if (np.linalg.norm(w, axis=-1) >= 0.5).any():
         raise ValueError("|w| must be < 1/2 (hyperplane domain constraint)")
-    q_ew = np.linalg.norm(np.array([1.0, 0.0, 0.0]) - w, axis=-1)[:, None, None]  # |e - w|
-    a = np.hypot(w[:, 1], w[:, 2])[:, None, None] / q_ew           # e.ehat = a cos(phi)
+    q_ew = np.linalg.norm(_E3 - w, axis=-1)[:, None]              # |e - w|
+    a = np.hypot(w[:, 1], w[:, 2])[:, None, None] / q_ew[:, :, None]  # e.ehat = a cos(phi)
 
-    rho, w_rho, cos_phi, w_phi = _hyperplane_rule(q)
-    two_e_ehat = 2.0 * a * cos_phi
-    rows = max(1, _BLOCK_ELEMENTS // (len(rho) * len(cos_phi)))
-    log_z = np.empty((min(rows, len(w)), len(rho), len(cos_phi)))
-    term = np.empty_like(log_z)
-    out = np.empty(len(w))
+    rho, w_rho, rho2, two_rho_cos, n_head, w_phi = _hyperplane_rule(q)
+    n_phi = len(two_rho_cos)
+    rows = max(1, _BLOCK_ELEMENTS // two_rho_cos.size)
+    lz = np.empty((min(rows, len(w)), n_phi, len(rho)))
+    sums = np.empty((len(w), len(rho)))  # U on the innermost radii, P on the rest
+    for start in range(0, len(w), rows):
+        blk = slice(start, start + rows)
+        t = lz[:len(sums[blk])]
+        t[...] = two_rho_cos
+        t *= a[blk]
+        t += rho2
+        np.log1p(t, out=t)
+        t *= -0.5 * m
+        np.expm1(t[..., :n_head], out=t[..., :n_head])
+        np.exp(t[..., n_head:], out=t[..., n_head:])
+        t.sum(axis=1, out=sums[blk])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # phi-free factors, shape (B, Nr, 1)
-        r = np.sqrt(rho**2 + q_ew**2)
-        shift = (d + k.gamma) * np.log(r / q_ew)
-        loss = q_ew ** (k.gamma + d) * r ** (-2.0 * (d - 1.0)) * k.b(rho / r) * w_rho
-        gain = r ** (2.0 - d + k.gamma) * k.b(q_ew / r) * w_rho
-
-        for start in range(0, len(w), rows):
-            blk = slice(start, start + rows)
-            lz, t = log_z[:len(out[blk])], term[:len(out[blk])]
-            # -m log|z| in lz, then the two terms summed in t
-            np.add(two_e_ehat[blk], rho, out=lz)
-            lz *= rho
-            np.log1p(lz, out=lz)
-            lz *= -0.5 * m
-            np.add(lz, shift[blk], out=t)
-            np.expm1(t, out=t)
-            t *= loss[blk]
-            np.exp(lz, out=lz)
-            lz *= gain[blk]
-            t += lz
-            out[blk] = np.sum(t, axis=(1, 2)) * w_phi
-    if not np.all(np.isfinite(out)):
+        # phi-free factors, shape (rows, Nr), in as few buffers as possible
+        r2 = rho2 + q_ew * q_ew
+        r = np.sqrt(r2)
+        head = slice(0, n_head)
+        shift = np.expm1((d + k.gamma) * np.log(r[:, head] / q_ew))  # expm1(s)
+        b_loss = np.divide(rho, r)
+        np.multiply(k.b(b_loss), w_rho, out=b_loss)
+        gain = np.divide(q_ew, r, out=r)
+        np.multiply(k.b(gain), w_rho, out=gain)
+        big = np.log(r2)
+        big *= 0.5 * (k.gamma + 2.0 - d)
+        np.exp(big, out=big)                                      # r^{2-d+gamma}
+        loss = np.multiply(r2, r2, out=r2)
+        np.divide(b_loss, loss, out=loss)
+        loss *= n_phi * q_ew ** (k.gamma + d)                     # Nphi L
+        gain *= big                                               # G
+        big *= b_loss
+        big += gain                                               # L e^s + G
+        sums *= big
+        loss[:, head] *= -shift
+        loss[:, head] -= n_phi * gain[:, head]
+        sums -= loss
+        out = sums.sum(axis=1) * w_phi
+    if not np.isfinite(out).all():
         # the tail factor r^{2-d+gamma} overflows at rho = 1e4 once gamma >~ 77;
         # this check reports it, so numpy does not warn of it above
         raise EvaluationError(f"hyperplane integral is not finite at m = {m}, "

@@ -18,6 +18,9 @@ only the class reads is work done for nothing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +157,26 @@ def test_every_quadrature_field_is_read():
     sources = {p.name: p.read_text() for p in MODULES}
     for cls in ("QuadratureScheme", "KernelSpec"):
         assert unread_fields(sources, "core.py", cls) == [], cls
+
+
+def test_landau_and_solver_do_not_load_scipy_integrate():
+    # only a Boltzmann kernel's angular integrals need quad; a fresh process
+    # shows what importing collkit and building Landau inputs loads
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import collkit\n"
+        "from collkit.solver import make_gaussian_grid\n"
+        "collkit.KernelSpec(dim=3, gamma=-3.0, operator='landau')\n"
+        "make_gaussian_grid(8, 4.0, theta=0.3)\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+        "k = collkit.KernelSpec(dim=3, gamma=0.0, operator='boltzmann',\n"
+        "                       b=lambda x: np.ones_like(np.asarray(x, dtype=float)))\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "assert abs(k.angular_mass - 4.0 * np.pi) < 1e-12\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

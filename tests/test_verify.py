@@ -156,7 +156,12 @@ def e_aligned_frame(n):
 
 
 def hyperplane_reference(m, w, k, q, frame=e_aligned_frame):
-    """The per-point formula on the full circle: z as a 3-vector, |z| by norm, then log, **(-m)."""
+    """The per-point formula on the full circle, from 3-vectors.
+
+    z = e + u with u = rho ehat a 3-vector, and log|z| = log1p(u.(2e + u))/2:
+    log of a norm near 1 would lose the digits the non-cutoff kernel
+    amplifies near z = e.
+    """
     e = np.array([1.0, 0.0, 0.0])
     ew = e - w
     q_ew = float(np.linalg.norm(ew))
@@ -168,12 +173,12 @@ def hyperplane_reference(m, w, k, q, frame=e_aligned_frame):
     n_phi = 2 * q.angular_nodes
     phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
     ehat = np.cos(phi)[:, None] * np.reshape(e1, 3) + np.sin(phi)[:, None] * np.reshape(e2, 3)
-    z = e + rho[:, None, None] * ehat[None, :, :]
-    az = np.linalg.norm(z, axis=-1)
+    u = rho[:, None, None] * ehat[None, :, :]
+    log_az = 0.5 * np.log1p(np.sum(u * (2.0 * e + u), axis=-1))
     r = np.sqrt(rho[:, None] ** 2 + q_ew**2)
-    delta = -m * np.log(az) + (3.0 + k.gamma) * np.log(r / q_ew)
+    delta = -m * log_az + (3.0 + k.gamma) * np.log(r / q_ew)
     loss = q_ew ** (k.gamma + 3.0) * r**-4.0 * np.expm1(delta) * k.b(rho[:, None] / r)
-    gain = az ** (-m) * r ** (k.gamma - 1.0) * k.b(q_ew / r)
+    gain = np.exp(-m * log_az) * r ** (k.gamma - 1.0) * k.b(q_ew / r)
     return float(np.sum((loss + gain) * w_rho[:, None]) * (2.0 * np.pi / n_phi))
 
 
@@ -188,15 +193,27 @@ def assert_matches_reference(m, w, k, q, frame=e_aligned_frame):
 
 
 def test_hyperplane_batch_matches_per_point_formula(q_fast):
-    # the reference sums the full circle in the e-aligned frame, so this also
-    # checks the fold onto half the azimuths
+    # the reference sums the full circle in the e-aligned frame, node by node,
+    # so this also checks the fold onto half the azimuths and the sums over
+    # phi taken before the phi-free factors; m runs from gamma + 4 up
     rng = np.random.default_rng(11)
     w = rng.normal(size=(20, 3))
     w *= (0.45 * rng.random(20) / np.linalg.norm(w, axis=-1))[:, None]
-    for b in HYPERPLANE_KERNELS:
-        k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b)
-        for m in (4.0, 8.0, 50.0, 200.0):
-            assert_matches_reference(m, w, k, q_fast)
+    for gamma in (-2.0, 0.0, 1.0, 40.0):
+        for b in HYPERPLANE_KERNELS + (lambda x: np.asarray(x, dtype=float) ** -3.0,):
+            k = KernelSpec(dim=3, gamma=gamma, operator="boltzmann", b=b)
+            for m in (4.0, 8.0, 50.0, 200.0):
+                assert_matches_reference(gamma + m, w, k, q_fast)
+
+
+@pytest.mark.parametrize("gamma", [-2.0, 0.0, 1.0, 40.0, 76.0])
+def test_hyperplane_origin_vanishes_at_five_plus_gamma(q_default, gamma):
+    # exact oracle: at w = 0, rho -> 1/rho maps the integrand to minus itself
+    # at m = 5 + gamma, so I(5 + gamma, 0) = 0; measured against I(gamma + 2, 0)
+    k = KernelSpec(dim=3, gamma=gamma, operator="boltzmann", b=b_ones)
+    zero = boltzmann_hyperplane_integral(5.0 + gamma, np.zeros(3), k, q_default)
+    scale = boltzmann_hyperplane_integral(2.0 + gamma, np.zeros(3), k, q_default)
+    assert abs(zero) <= 1e-8 * abs(scale), (zero, scale)
 
 
 def test_hyperplane_matches_any_frame_on_delta_scan_rows(q_fast):
@@ -246,8 +263,8 @@ def test_hyperplane_invariant_under_rotation_about_e(q_fast):
 
 
 def test_hyperplane_batch_shapes(q_fast, kernel_boltzmann_g0):
-    rho, _, cos_phi, _ = verify._hyperplane_rule(q_fast)
-    block = verify._BLOCK_ELEMENTS // (len(rho) * len(cos_phi))
+    two_rho_cos = verify._hyperplane_rule(q_fast)[3]
+    block = verify._BLOCK_ELEMENTS // two_rho_cos.size
     assert 1 < block < 40
     rng = np.random.default_rng(12)
     w = rng.normal(size=(80, 3))
@@ -296,15 +313,19 @@ def test_hyperplane_rule_built_once_per_scheme(q_default, kernel_boltzmann_g0):
     boltzmann_m0_search(kernel_boltzmann_g0, q_default)
     info = verify._hyperplane_rule.cache_info()
     assert info.misses == 1 and info.hits > 10
-    rho, w_rho, cos_phi, w_phi = verify._hyperplane_rule(q_default)
-    assert not any(a.flags.writeable for a in (rho, w_rho, cos_phi))
+    rho, w_rho, rho2, two_rho_cos, n_head, w_phi = verify._hyperplane_rule(q_default)
+    assert not any(a.flags.writeable for a in (rho, w_rho, rho2, two_rho_cos))
     # the folded rule is the first half of the N-point midpoint circle at
     # weight 2 (2 pi / N): N/2 nodes that sum to the full circle
     n_phi = 2 * q_default.angular_nodes
     phi, w_full = circle_rule(n_phi)
-    assert np.array_equal(cos_phi, np.cos(phi[:n_phi // 2]))
+    assert np.array_equal(two_rho_cos, 2.0 * np.cos(phi[:n_phi // 2])[:, None] * rho)
+    assert np.array_equal(rho2, rho * rho)
     assert w_phi == 2.0 * w_full
-    assert len(cos_phi) * w_phi == pytest.approx(2.0 * np.pi, rel=1e-15)
+    assert len(two_rho_cos) * w_phi == pytest.approx(2.0 * np.pi, rel=1e-15)
+    # the innermost radii are those up to the fixed split radius
+    assert 0 < n_head < len(rho)
+    assert rho[n_head - 1] <= verify._HEAD_RADIUS < rho[n_head]
 
 
 def test_m0_search_constant_kernel(q_default, kernel_boltzmann_g0):

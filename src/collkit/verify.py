@@ -1,18 +1,19 @@
 """Numerical certification of the barrier comparison estimates.
 
-Everything here produces *certificates at a resolution*, not proofs: each
-threshold search reports the sampled extremal values and the grid that
-produced them, and claims nothing beyond that resolution.  The three
-searches (Landau delta, Boltzmann m0, Boltzmann delta) share one
-bracket-then-bisect loop, :func:`_sign_search`, which memoizes what it
-evaluates, so each certificate reuses the search's own values.
+The Landau delta window is exact up to roundoff: G is a quadratic in w, so
+its sup over a ball and the window have closed forms.  The two Boltzmann
+searches produce *certificates at a resolution*, not proofs: each reports
+the sampled extremal values and the grid that produced them, and claims
+nothing beyond that resolution.  They share one bracket-then-bisect loop,
+:func:`_sign_search`, which memoizes what it evaluates, so each certificate
+reuses the search's own values.
 
 Contents:
 
 * contact-point estimate: measure Q(f,f)(v0) / [b(v0)^2 <v0>^{d+gamma}] at
   barrier contact points;
-* the small-velocity Landau integrand G(w) and its feasibility window in
-  delta, with the exact boundary m > d + gamma;
+* the small-velocity Landau integrand G(w), its closed-form sup on B_delta
+  and its window in delta, with the exact boundary m > d + gamma;
 * the Boltzmann hyperplane integral (the inner integral the contact
   argument reduces to), the decay threshold m0 where it turns negative at
   w = 0, and the delta window in |w|, whose precondition m > m0 is the one
@@ -30,9 +31,10 @@ Contents:
 * the crude large-velocity bound Q(f,f)(e) for shell-type fields.
 
 Search resolutions are fixed, and each report records the ones it used.
-Landau delta: sup of G on a 96 x 96 polar grid, stop at hi/lo <= 1 + 1e-3.
 Boltzmann m0: probes double up to m = 200, stop at hi - lo <= 1e-4 max(1, lo).
 Boltzmann delta: worst of 64 angles in [0, pi], stop at hi - lo <= 1e-3 hi.
+Being sampled, it can miss a positive value between angles: a 2,049-angle
+scan at the certified |w| found one in 2 of 48 cases (ROADMAP item 1).
 The hyperplane integral's azimuthal resolution suffices at the m the
 searches meet: over the delta scan at |w| <= 0.499 and m <= m0 + 4, raising
 ``angular_nodes`` to 96 moves it by at most 6e-11 of its largest value.  The
@@ -53,15 +55,10 @@ from .exceptions import ConfigurationError, EvaluationError, InfeasibleError, Un
 from .landau import q_landau
 from .util import bracket, geometric_panels, read_only
 
-_GRID_N = 96         # Landau integrand sup: radius and angle nodes
 _M0_CEILING = 200.0  # largest m the m0 search probes
 _BLOCK_ELEMENTS = 2**15  # doubles per hyperplane-integral block; see its docstring
 _HEAD_RADIUS = 0.05      # hyperplane radii summed as expm1(lz) rather than exp(lz)
 _E3 = read_only(np.array([1.0, 0.0, 0.0]))[0]
-
-# the Landau sup's angle grid does not depend on delta
-_COS_PSI, _SIN_PSI = read_only(np.cos(np.linspace(0.0, np.pi, _GRID_N)),
-                               np.sin(np.linspace(0.0, np.pi, _GRID_N)))
 
 
 @dataclass(frozen=True)
@@ -92,9 +89,10 @@ class ContactConfiguration:
 class ThresholdReport:
     """A computed threshold with its supporting evidence.
 
-    ``certificate`` holds the sampled values establishing the sign on each
-    side of the threshold; ``resolution`` records the grid that produced
-    them.  ``feasible`` is False for honest search failures.
+    ``certificate`` holds the values establishing the sign on each side of
+    the threshold; ``resolution`` records the grid or closed form behind
+    them.  Every search raises :class:`InfeasibleError` instead of setting
+    ``feasible`` False; the benchmark still reads it, until ROADMAP item 10.
     """
 
     parameter_name: str
@@ -187,12 +185,6 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite{shown}")
 
 
-def _landau_g(z0, zp2, m, d, gamma):
-    """G from z = e - w: its first coordinate z0 and the squared norm zp2 of the rest."""
-    # |z|^2 Pi(z)e.e = |z|^2 - (z.e)^2 = zp2, so no division by |z|^2
-    return m * ((m + 3.0 - d) * zp2 - (d - 1.0) * (z0 * z0)) + (d - 1.0) * (d + gamma)
-
-
 def landau_integrand_g(w, m, d, gamma):
     """G(w) = m|e-w|^2 [(m+2) Pi(e-w)e.e - (d-1)] + (d-1)(d+gamma).
 
@@ -202,64 +194,70 @@ def landau_integrand_g(w, m, d, gamma):
     m [(m+3-d)|z_perp|^2 - (d-1) z0^2] + (d-1)(d+gamma), without division.
     """
     w = np.asarray(w, dtype=float)
-    e = np.zeros(d)
-    e[0] = 1.0
-    z = e - w
-    zp = z[..., 1:]
-    return _landau_g(z[..., 0], np.sum(zp * zp, axis=-1), m, d, gamma)
+    z0 = 1.0 - w[..., 0]
+    zp2 = np.sum(w[..., 1:] * w[..., 1:], axis=-1)
+    # |z|^2 Pi(z)e.e = |z|^2 - (z.e)^2 = zp2, so no division by |z|^2
+    return m * ((m + 3.0 - d) * zp2 - (d - 1.0) * (z0 * z0)) + (d - 1.0) * (d + gamma)
 
 
-def landau_integrand_sup(m, d, gamma, delta):
-    """Sup of G over the ball |w| <= delta, on a polar (radius, angle) grid.
+def _landau_quadratic(m, d, gamma):
+    """(A, B, c, E) of G = A|w_perp|^2 - B(1 - w.e)^2 + B - E, with c = B/(A + B).
 
-    By rotational symmetry about e the domain is two-dimensional: on the
-    (96, 96) grid w = rho (cos psi, sin psi, 0, ...), z = e - w has
-    z0 = 1 - rho cos psi and the rest of its squared norm (rho sin psi)^2, so
-    no d-vector is formed.
+    E = (d-1)(m-d-gamma) = -G(0) does not cancel near m = d + gamma.
+    Rejects a non-finite m or gamma and d < 2.
     """
     _require_finite(m=m, gamma=gamma)
     if d < 2:
         raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
+    return m * (m + 3.0 - d), m * (d - 1.0), (d - 1.0) / (m + 2.0), (d - 1.0) * (m - d - gamma)
+
+
+def landau_integrand_sup(m, d, gamma, delta):
+    """Sup of G over the ball |w| <= delta, in closed form.
+
+    For A > 0 and c <= delta it is A(delta^2 - c) + C = A delta^2 + Bc - E,
+    on the sphere at w.e = c; otherwise it is the value at w = delta e,
+    C - B(1 - delta)^2 = B delta (2 - delta) - E.
+    """
+    a, b, c, e = _landau_quadratic(m, d, gamma)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if m <= 0:
         raise ValueError("m must be positive")
-    rho = np.linspace(0.0, delta, _GRID_N)[:, None]
-    z1 = rho * _SIN_PSI
-    return float(np.max(_landau_g(1.0 - rho * _COS_PSI, z1 * z1, m, d, gamma)))
+    if a > 0.0 and c <= delta:
+        return a * delta * delta + b * c - e
+    return b * delta * (2.0 - delta) - e
 
 
 def landau_delta_search(m, d, gamma):
-    """Largest delta with sup_{B_delta} G <= 0, by log-scale bracket + bisection.
+    """Largest delta <= 0.999 with sup_{B_delta} G <= 0, in closed form.
 
-    Requires m > d + gamma; at m = d + gamma the value at w = 0 is already 0
-    and no ball works.  The search is :func:`_sign_search` with probes
-    10^-14 ... 10^0 (capped at 0.999) and geometric midpoints; the
-    certificate reuses its evaluations.
+    Requires m > d + gamma, as G(0) = -E.  The edge branch of
+    :func:`landau_integrand_sup` vanishes where delta (2 - delta) = r = E/B,
+    at r / (1 + sqrt(1 - r)), or nowhere below 1 if r >= 1 (d + gamma <= 0);
+    above c the interior root sqrt((E - Bc)/A) holds instead.  The root,
+    capped at 0.999, is stepped down by ulps until the computed sup is <= 0.
+    The certificate adds the sup at min(1.05 delta, 0.999) unless delta is
+    the cap.
     """
-    _require_finite(m=m, gamma=gamma)
-    if d < 2:
-        raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
-    if m <= d + gamma:
+    a, b, c, e = _landau_quadratic(m, d, gamma)
+    if e <= 0.0:
         raise InfeasibleError(
             f"no negativity window: G(0) = (d-1)(d+gamma-m) = "
             f"{(d - 1) * (d + gamma - m):.3g} >= 0 requires m > d + gamma"
         )
-    # bracket on a log scale: near the feasibility boundary the window
-    # shrinks like (m - d - gamma), so start from far below machine-threshold
-    lo, hi, sup = _sign_search(
-        lambda delta: landau_integrand_sup(m, d, gamma, delta),
-        [min(10.0**e, 0.999) for e in np.append(np.arange(-14.0, 0.0, 0.5), 0.0)],
-        mid=lambda lo, hi: float(np.sqrt(lo * hi)),
-        converged=lambda lo, hi: hi / lo <= 1.0 + 1e-3,
-        ok=lambda s: s <= 0.0,
-    )
-    if lo is None:
-        raise InfeasibleError("integrand positive at every probed delta")
-    # hi is None: negative all the way up to the domain edge
-    points = [lo] if hi is None else [lo, min(1.05 * lo, 0.999)]
-    return ThresholdReport("delta", lo, [{"delta": x, "sup": sup(x)} for x in points],
-                           {"grid_n": _GRID_N, "d": d, "gamma": gamma, "m": m})
+    if m <= 0:
+        raise ValueError("m must be positive")
+    r = e / b
+    delta = r / (1.0 + np.sqrt(1.0 - r)) if r < 1.0 else 1.0
+    if a > 0.0 and delta > c:
+        delta = np.sqrt((e - b * c) / a)
+    delta = min(float(delta), 0.999)
+    while landau_integrand_sup(m, d, gamma, delta) > 0.0:
+        delta = float(np.nextafter(delta, 0.0))
+    cert = [{"delta": x, "sup": landau_integrand_sup(m, d, gamma, x)}
+            for x in ([delta] if delta == 0.999 else [delta, min(1.05 * delta, 0.999)])]
+    return ThresholdReport("delta", delta, cert, {"d": d, "gamma": gamma, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,8 @@ def boltzmann_m0_search(k, q):
     :func:`_sign_search` probes m = gamma + 2, then doubles from
     max(2|gamma + 2|, 8) up to m = 200 and bisects arithmetically; the
     certificate reuses its evaluations.  If no sign change occurs below the
-    ceiling, an infeasible report is returned rather than a fake threshold.
+    ceiling, it raises :class:`InfeasibleError` rather than report a fake
+    threshold.
     """
     if k.operator != "boltzmann":
         raise ValueError("boltzmann_m0_search requires a Boltzmann kernel")
@@ -428,8 +427,8 @@ def boltzmann_m0_search(k, q):
         return ThresholdReport("m0", m_min, [{"m": m_min, "integral": val(m_min)}],
                                _grid_meta(q))
     if hi is None:
-        cert = [{"m": _M0_CEILING, "integral": val(_M0_CEILING)}]
-        return ThresholdReport("m0", None, cert, _grid_meta(q), feasible=False)
+        raise InfeasibleError(f"origin integral I(m, 0) = {val(_M0_CEILING):.6g} is still "
+                              f"nonnegative at the ceiling m = {_M0_CEILING}")
     cert = [{"m": lo, "integral": val(lo)}, {"m": hi, "integral": val(hi)}]
     return ThresholdReport("m0", 0.5 * (lo + hi), cert, _grid_meta(q))
 

@@ -17,6 +17,7 @@ from collkit import (
     boltzmann_m0_search,
     crude_bound_check,
     entropy_bound,
+    landau_delta_search,
     landau_integrand_sup,
     make_barrier,
     maxwellian_moments,
@@ -54,6 +55,9 @@ CASES = {
         lambda q: contact(make_barrier(5.0, 0.5).as_field()).validate(q),
         ConfigurationError, "does not touch"),
     "landau-sup-d1": (lambda q: landau_integrand_sup(5.0, 1, 0.0, 0.3), ValueError, "d >= 2"),
+    # m > d + gamma, yet m is not positive
+    "landau-delta-m-zero": (lambda q: landau_delta_search(0.0, 3, -4.0), ValueError,
+                            "m must be positive"),
     "hyperplane-2d-kernel": (
         lambda q: boltzmann_hyperplane_integral(
             8.0, np.zeros(2), KernelSpec(dim=2, gamma=0.0, operator="boltzmann", b=b_ones), q),

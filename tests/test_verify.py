@@ -68,19 +68,28 @@ def test_integrand_sup_domain_errors():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_integrand_sup_is_max_over_polar_grid(d):
-    # the sup works on the 2-D (radius, angle) grid; the same grid as d-vectors
-    # through landau_integrand_g gives the same value bit for bit
-    n = verify._GRID_N
-    for m, gamma, delta in [(10.0, -3.0, 0.3), (d + 0.5 + 1e-3, 0.5, 0.02),
-                            (3.1, 0.0, 0.97), (250.0, 1.0, 1e-7)]:
-        rho = np.linspace(0.0, delta, n)
-        psi = np.linspace(0.0, np.pi, n)
-        w_grid = np.zeros((n, n, d))
-        w_grid[..., 0] = rho[:, None] * np.cos(psi)[None, :]
-        w_grid[..., 1] = rho[:, None] * np.sin(psi)[None, :]
-        expected = float(np.max(landau_integrand_g(w_grid, m, d, gamma)))
-        assert landau_integrand_sup(m, d, gamma, delta) == expected
+def test_integrand_sup_matches_dense_grid(d):
+    # by symmetry about e the ball is the (rho, psi) half-disc; a dense grid's
+    # max never exceeds the closed form (up to roundoff) and comes within the
+    # Lipschitz constant of G times the grid spacing of it
+    n = 601
+    rho = np.linspace(0.0, 1.0, n)[:, None]
+    psi = np.linspace(0.0, np.pi, n)[None, :]
+    for m, gamma, delta in [(10.0, -3.0, 0.3),    # interior: c = (d-1)/12 <= delta
+                            (10.0, -1.0, 0.05),   # edge: delta < c
+                            (0.5, -3.0, 0.6),     # A = m(m+3-d) <= 0 at d = 4
+                            (3.1, -4.0, 0.97),    # d + gamma <= 0
+                            (250.0, 1.0, 1e-7)]:  # edge, at large m
+        w = np.zeros((n, n, d))
+        w[..., 0] = delta * rho * np.cos(psi)
+        w[..., 1] = delta * rho * np.sin(psi)
+        grid_max = float(np.max(landau_integrand_g(w, m, d, gamma)))
+        a, b, c = m * (m + 3.0 - d), m * (d - 1.0), (d - 1.0) * (d + gamma)
+        lipschitz = 2.0 * abs(a) * delta + 2.0 * b * (1.0 + delta)
+        spacing = delta * (1.0 + np.pi) / (n - 1)
+        sup = landau_integrand_sup(m, d, gamma, delta)
+        assert grid_max <= sup + 1e-12 * (abs(a) + b + abs(c)), (m, gamma, delta)
+        assert sup - grid_max <= lipschitz * spacing, (m, gamma, delta)
 
 
 def test_delta_search_feasible():
@@ -102,6 +111,36 @@ def test_delta_search_infeasible():
         landau_delta_search(2.9, 3, 0.0)  # m < d + gamma
 
 
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    gamma=st.floats(-5.0, 1.0),
+    excess=st.floats(1e-9, 1e3),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_delta_search_certificate_holds_at_delta(d, gamma, excess):
+    # m > d + gamma, with d + gamma <= 0 whenever gamma <= -d
+    m = max(d + gamma, 0.0) + excess
+    rep = landau_delta_search(m, d, gamma)
+    assert 0.0 < rep.value <= 0.999
+    assert rep.certificate[0] == {"delta": rep.value,
+                                  "sup": landau_integrand_sup(m, d, gamma, rep.value)}
+    assert rep.certificate[0]["sup"] <= 0.0
+    if rep.value == 0.999:
+        assert len(rep.certificate) == 1
+    else:
+        above = rep.certificate[1]
+        assert above["delta"] == min(1.05 * rep.value, 0.999) and above["sup"] > 0.0
+
+
+def test_delta_search_regression_sampled_sup_missed_the_window():
+    # a 96 x 96 grid sup certified 0.5589120 here, where the exact sup is
+    # +6.6e-4; the exact window is 0.5588720
+    rep = landau_delta_search(3.84886, 3, -2.78069)
+    assert rep.value == pytest.approx(0.558872, abs=1e-6)
+    assert rep.certificate[0]["sup"] <= 0.0
+    assert landau_integrand_sup(3.84886, 3, -2.78069, 0.5589120) > 6e-4
+
+
 def landau_delta_closed_form(m, d, gamma):
     """Exact Landau window delta* for m > d + gamma.
 
@@ -117,12 +156,11 @@ def landau_delta_closed_form(m, d, gamma):
 
 @pytest.mark.parametrize("d, gamma", [(3, -3.0), (3, 0.0), (2, 1.0), (3, -2.0), (3, 1.0)])
 def test_delta_search_matches_closed_form(d, gamma):
-    # measured: at most 5.4e-4 relative, always from below
     for excess in (1e-3, 0.5, 2.0, 7.0, 30.0, 300.0):
         m = d + gamma + excess
         exact = min(landau_delta_closed_form(m, d, gamma), 0.999)
         got = landau_delta_search(m, d, gamma).value
-        assert abs(got - exact) <= 1e-3 * exact, (m, got, exact)
+        assert abs(got - exact) <= 1e-9 * exact, (m, got, exact)
 
 
 def test_delta_search_window_shrinks_toward_boundary():
@@ -349,6 +387,13 @@ def test_m0_is_five_plus_gamma_for_every_b(q_default, b, gamma):
     rep = boltzmann_m0_search(k, q_default)
     assert rep.feasible
     assert rep.value == pytest.approx(5.0 + gamma, abs=1e-3)
+
+
+def test_m0_search_without_sign_change_is_infeasible(monkeypatch, q_default,
+                                                    kernel_boltzmann_g0):
+    monkeypatch.setattr(verify, "boltzmann_hyperplane_integral", lambda m, w, k, q: 1.0 / m)
+    with pytest.raises(InfeasibleError, match="ceiling m = 200.0"):
+        boltzmann_m0_search(kernel_boltzmann_g0, q_default)
 
 
 def test_m0_monotone_in_gamma(q_default):

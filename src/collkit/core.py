@@ -352,9 +352,9 @@ def weighted_sup_norm(f, m, grid, return_argmax=False):
     """Grid-sampled sup of <v>^m f(v).
 
     The sup is taken over a deterministic radial-profile sample out to the
-    scheme's outer radius.  Ties are broken toward the lexicographically
-    smallest node so parallel evaluation stays reproducible.  Refinement is
-    the caller's responsibility via the QuadratureScheme.
+    scheme's outer radius.  The returned argmax is the lexicographically
+    smallest sample node among those within a relative 1e-15 of the sup.
+    Refinement is the caller's responsibility via the QuadratureScheme.
     """
     if not 0.0 <= m < np.inf:
         raise ValueError(f"weight exponent m must be finite and >= 0, got {m}")

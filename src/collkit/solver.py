@@ -16,7 +16,7 @@ read-only spectra at n = 32, and a repeated run builds none.  Field
 transforms, forward and inverse, are pruned to the lines that carry data.
 
 Time stepping is explicit midpoint with the parabolic step restriction
-Delta t = cfl * h^2 / (2 d max||a_bar||) refreshed every step.
+Delta t = cfl * h^2 / (6 max tr a_bar) refreshed every step.
 
 The run log records weighted sup norms and the conserved moments each step;
 these logs feed the Gronwall-bound and Riccati-envelope checks.
@@ -32,6 +32,9 @@ import scipy.fft
 
 from .exceptions import RunAbortedError, UnsupportedParameterError
 from .util import read_only, sphere_area
+
+# (i, j) of each stored entry of the symmetric diffusion matrix a_bar, diagonal first
+PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 NEGATIVITY_LIMIT = 1e-12   # relative to max; larger dips abort the run
 CONTAINMENT_LIMIT = 1e-8   # boundary-ring mass relative to max
@@ -124,7 +127,7 @@ class RunLog:
 
 
 def _kernel_arrays(L, h, gamma):
-    """Cell-averaged convolution kernels for a_bar (6 components) and c_bar.
+    """Cell-averaged convolution kernels for a_bar (one per PAIRS entry) and c_bar.
 
     K_ij(z) = |z|^{2+gamma} (delta_ij - z_i z_j / |z|^2), sampled on the
     wrapped offset grid z = h * L * fftfreq(L) per axis (offset 0 at index 0,
@@ -136,7 +139,7 @@ def _kernel_arrays(L, h, gamma):
     a full L^3 array.
     """
     k = ((np.arange(L) + L // 2) % L - L // 2) * h  # integer offsets times h
-    X, Y, Z = np.meshgrid(k, k, k, indexing="ij", sparse=True)
+    X, Y, Z = axes = np.meshgrid(k, k, k, indexing="ij", sparse=True)
     r2 = X * X + Y * Y + Z * Z
     r2[0, 0, 0] = 1.0  # placeholder at the origin, overwritten below
     r = np.sqrt(r2)
@@ -144,19 +147,18 @@ def _kernel_arrays(L, h, gamma):
     a_eq = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
     rad0 = 3.0 * a_eq ** (2.0 + gamma) / (5.0 + gamma)  # ball average of |z|^{2+gamma}
 
-    comps = {}
-    for (i, j, zi, zj) in (("x", "x", X, X), ("y", "y", Y, Y), ("z", "z", Z, Z),
-                           ("x", "y", X, Y), ("x", "z", X, Z), ("y", "z", Y, Z)):
-        K = rad * ((1.0 if i == j else 0.0) - zi * zj / r2)
+    kernels = []
+    for i, j in PAIRS:
+        K = rad * ((1.0 if i == j else 0.0) - axes[i] * axes[j] / r2)
         K[0, 0, 0] = rad0 * (2.0 / 3.0 if i == j else 0.0)
-        comps[i + j] = K
+        kernels.append(K)
 
     if gamma > -3.0:
         radc = r**gamma
         radc[0, 0, 0] = 3.0 * a_eq**gamma / (3.0 + gamma)
     else:
         radc = None
-    return comps, radc
+    return kernels, radc
 
 
 class _CoefficientEngine:
@@ -196,7 +198,7 @@ class _CoefficientEngine:
         self.n, self.h, self.gamma = n, h, gamma
         self.size = scipy.fft.next_fast_len(2 * n - 1)
         kernels, c_kernel = _kernel_arrays(self.size, h, gamma)
-        self.kernel_hats = {key: self._real_hat(K) for key, K in kernels.items()}
+        self.kernel_hats = tuple(self._real_hat(K) for K in kernels)
         self.c_hat = self._real_hat(c_kernel) if c_kernel is not None else None
 
     @staticmethod
@@ -223,7 +225,7 @@ class _CoefficientEngine:
         val_hat = scipy.fft.rfft(values, L, axis=2)
         val_hat = scipy.fft.fft(val_hat, L, axis=1, overwrite_x=True)
         val_hat = scipy.fft.fft(val_hat, L, axis=0, overwrite_x=True)
-        a = {key: self._conv(val_hat, kh) for key, kh in self.kernel_hats.items()}
+        a = [self._conv(val_hat, kh) for kh in self.kernel_hats]
         if self.gamma == -3.0:
             c = 2.0 * sphere_area(3) * values  # (d-1)|S^2| f = 8 pi f
         else:
@@ -244,51 +246,44 @@ def _engine(n, h, gamma):
 
 
 def _second_derivatives(values, h, a):
-    """Second differences with zero extension outside the box.
+    """a : D^2 f by second differences, with zero extension outside the box.
 
-    Pure derivatives are central three-point.  Mixed derivatives use the
-    sign-adapted corner stencils (for a_xy >= 0 the (+,+)/(-,-) corners,
+    a is a symmetric matrix field in PAIRS order.  Pure derivatives are
+    central three-point.  Mixed derivatives use the sign-adapted corner
+    stencils weighted by |a_ij| (for a_ij >= 0 the (+,+)/(-,-) corners,
     otherwise (+,-)/(-,+)); both are O(h^2) consistent, and the choice makes
     the off-center weights of a : D^2 nonnegative wherever the diffusion
     matrix is diagonally dominant.  The usual four-corner average has O(1)
     negative corner weights and drives steep tails negative.
     """
     p = np.pad(values, 1)
-    h2 = h**2
-    d = {}
-    d["xx"] = (p[2:, 1:-1, 1:-1] - 2 * values + p[:-2, 1:-1, 1:-1]) / h2
-    d["yy"] = (p[1:-1, 2:, 1:-1] - 2 * values + p[1:-1, :-2, 1:-1]) / h2
-    d["zz"] = (p[1:-1, 1:-1, 2:] - 2 * values + p[1:-1, 1:-1, :-2]) / h2
+    end = p.shape[0] - 1
+    e = np.eye(3, dtype=int)
 
-    faces = {
-        "x": p[2:, 1:-1, 1:-1] + p[:-2, 1:-1, 1:-1],
-        "y": p[1:-1, 2:, 1:-1] + p[1:-1, :-2, 1:-1],
-        "z": p[1:-1, 1:-1, 2:] + p[1:-1, 1:-1, :-2],
-    }
-    corners = {
-        ("xy", +1): p[2:, 2:, 1:-1] + p[:-2, :-2, 1:-1],
-        ("xy", -1): p[2:, :-2, 1:-1] + p[:-2, 2:, 1:-1],
-        ("xz", +1): p[2:, 1:-1, 2:] + p[:-2, 1:-1, :-2],
-        ("xz", -1): p[2:, 1:-1, :-2] + p[:-2, 1:-1, 2:],
-        ("yz", +1): p[1:-1, 2:, 2:] + p[1:-1, :-2, :-2],
-        ("yz", -1): p[1:-1, 2:, :-2] + p[1:-1, :-2, 2:],
-    }
-    for key in ("xy", "xz", "yz"):
-        fsum = faces[key[0]] + faces[key[1]]
-        plus = (2 * values + corners[(key, +1)] - fsum) / (2 * h2)
-        minus = -(2 * values + corners[(key, -1)] - fsum) / (2 * h2)
-        d[key] = np.where(a[key] >= 0.0, plus, minus)
-    return d
+    def at(step):
+        # f at every grid point offset by h * step
+        return p[tuple(slice(1 + s, end + s) for s in step)]
+
+    h2 = h**2
+    faces = [at(e[i]) + at(-e[i]) for i in range(3)]
+    terms = []
+    for (i, j), a_ij in zip(PAIRS, a):
+        if i == j:
+            terms.append(a_ij * ((at(e[i]) - 2 * values + at(-e[i])) / h2))
+        else:
+            up = a_ij >= 0.0
+            corners = np.where(up, at(e[i] + e[j]) + at(-e[i] - e[j]),
+                               at(e[i] - e[j]) + at(e[j] - e[i]))
+            # not np.abs, which would turn the product's -0.0 at a_ij = -0.0 into +0.0
+            a_abs = np.where(up, a_ij, -a_ij)
+            terms.append(a_abs * ((2 * values + corners - (faces[i] + faces[j])) / (2 * h2)))
+    return terms[0] + terms[1] + terms[2] + 2.0 * (terms[3] + terms[4] + terms[5])
 
 
 def _rhs(values, engine, h):
     a, c = engine.coefficients(values)
-    d2 = _second_derivatives(values, h, a)
-    out = (a["xx"] * d2["xx"] + a["yy"] * d2["yy"] + a["zz"] * d2["zz"]
-           + 2.0 * (a["xy"] * d2["xy"] + a["xz"] * d2["xz"] + a["yz"] * d2["yz"])
-           + c * values)
-    a_trace = a["xx"] + a["yy"] + a["zz"]
-    return out, float(np.max(a_trace)), float(np.max(c))
+    return (_second_derivatives(values, h, a) + c * values,
+            float(np.max(a[0] + a[1] + a[2])), float(np.max(c)))
 
 
 def _record(log, field, weights_m, weights_dpg, coords, h, neg):
@@ -375,8 +370,8 @@ def gronwall_check(log, C):
     logged time (trapezoidal time integral).  Returns (holds, margins) where
     margins[i] = bound_i - norm_m_i.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0.0 < C < np.inf:
+        raise ValueError(f"C must be finite and positive, got {C}")
     t = np.asarray(log.t)
     y = np.asarray(log.norm_m)
     g = np.asarray(log.norm_dpg)
@@ -397,6 +392,10 @@ def riccati_check(log, C, T, rel_tol=1e-9):
 
     Returns a dict with keys pairwise_ok, envelope_hit, blowup_rate_ok.
     """
+    if not 0.0 < C < np.inf:
+        raise ValueError(f"C must be finite and positive, got {C}")
+    if not np.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     t = np.asarray(log.t)
     y = np.asarray(log.norm_m)
     dt = t[None, :] - t[:, None]          # (s, t) pairs, positive above diagonal

@@ -204,12 +204,15 @@ def _landau_quadratic(m, d, gamma):
     """(A, B, c, E) of G = A|w_perp|^2 - B(1 - w.e)^2 + B - E, with c = B/(A + B).
 
     E = (d-1)(m-d-gamma) = -G(0) does not cancel near m = d + gamma.
-    Rejects a non-finite m or gamma and d < 2.
+    Rejects a non-finite m or gamma, d < 2 and an m so large that A overflows.
     """
     _require_finite(m=m, gamma=gamma)
     if d < 2:
         raise ValueError(f"the Landau integrand needs d >= 2, got d = {d}")
-    return m * (m + 3.0 - d), m * (d - 1.0), (d - 1.0) / (m + 2.0), (d - 1.0) * (m - d - gamma)
+    a = m * (m + 3.0 - d)
+    if not a < np.inf:
+        raise ValueError(f"m = {m} is too large: A = m(m + 3 - d) overflows")
+    return a, m * (d - 1.0), (d - 1.0) / (m + 2.0), (d - 1.0) * (m - d - gamma)
 
 
 def landau_integrand_sup(m, d, gamma, delta):

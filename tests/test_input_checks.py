@@ -11,16 +11,19 @@ from collkit import (
     ConfigurationError,
     ContactConfiguration,
     KernelSpec,
+    RunLog,
     UnsupportedParameterError,
     VelocityField,
     boltzmann_hyperplane_integral,
     boltzmann_m0_search,
     crude_bound_check,
     entropy_bound,
+    gronwall_check,
     landau_delta_search,
     landau_integrand_sup,
     make_barrier,
     maxwellian_moments,
+    riccati_check,
 )
 from collkit.boltzmann import q_boltzmann_carleman, q_boltzmann_sigma
 from collkit.fields import bump_field, gaussian_field, shell_field
@@ -42,6 +45,13 @@ def negative_field(v):
     return np.full(np.shape(v)[:-1], -1.0)
 
 
+def two_row_log():
+    log = RunLog()
+    for t in (0.0, 1.0):
+        log.append(t, 1.0, 1.0, 1.0, (0.0, 0.0, 0.0), 1.0, 0.0)
+    return log
+
+
 def crude(f=None, m=7.0, delta=0.3):
     return lambda q: crude_bound_check(shell_field(7.0, 0.3) if f is None else f,
                                        E1, m, delta, LANDAU, q)
@@ -58,6 +68,9 @@ CASES = {
     # m > d + gamma, yet m is not positive
     "landau-delta-m-zero": (lambda q: landau_delta_search(0.0, 3, -4.0), ValueError,
                             "m must be positive"),
+    # A = m(m + 3 - d) overflows; the delta search must not run on with A = inf
+    "landau-delta-m-huge": (lambda q: landau_delta_search(1e200, 3, 0.0), ValueError,
+                            r"m = 1e\+200"),
     "hyperplane-2d-kernel": (
         lambda q: boltzmann_hyperplane_integral(
             8.0, np.zeros(2), KernelSpec(dim=2, gamma=0.0, operator="boltzmann", b=b_ones), q),
@@ -84,6 +97,14 @@ CASES = {
     "kernel-operator": (lambda q: KernelSpec(dim=3, gamma=0.0, operator="fokker-planck"),
                         ValueError, "unknown operator"),
     "moments-2d": (lambda q: maxwellian_moments(gaussian_field(dim=2), q), ValueError, "3-D"),
+    "gronwall-C-nan": (lambda q: gronwall_check(two_row_log(), np.nan), ValueError, "C must"),
+    "gronwall-C-inf": (lambda q: gronwall_check(two_row_log(), np.inf), ValueError, "C must"),
+    "riccati-C-negative": (lambda q: riccati_check(two_row_log(), -1.0, 1.0), ValueError,
+                           "C must"),
+    "riccati-C-zero": (lambda q: riccati_check(two_row_log(), 0.0, 1.0), ValueError, "C must"),
+    "riccati-C-nan": (lambda q: riccati_check(two_row_log(), np.nan, 1.0), ValueError, "C must"),
+    "riccati-T-nan": (lambda q: riccati_check(two_row_log(), 1.0, np.nan), ValueError, "T must"),
+    "riccati-T-inf": (lambda q: riccati_check(two_row_log(), 1.0, np.inf), ValueError, "T must"),
     "entropy-empty": (lambda q: entropy_bound([], None), ValueError, "at least one"),
     "scenario-window": (lambda q: ImplosionScenario("w", 0.5, 2.0, False, "spherical"),
                         ValueError, "lambda window"),

@@ -15,7 +15,7 @@ from collkit import (
     riccati_check,
 )
 from collkit import solver
-from collkit.solver import _CoefficientEngine, _kernel_arrays, make_gaussian_grid
+from collkit.solver import PAIRS, _CoefficientEngine, _kernel_arrays, make_gaussian_grid
 
 from conftest import landau_a_bar_g0
 
@@ -265,16 +265,6 @@ def test_every_in_loop_abort_carries_the_partial_log(monkeypatch, q_fast, k_coul
 # Second-derivative stencil
 
 
-def _a_dot_d2(values, h, a):
-    """a : D^2 f as the solver's right-hand side contracts it."""
-    d2 = solver._second_derivatives(values, h, a)
-    return (a["xx"] * d2["xx"] + a["yy"] * d2["yy"] + a["zz"] * d2["zz"]
-            + 2.0 * (a["xy"] * d2["xy"] + a["xz"] * d2["xz"] + a["yz"] * d2["yz"]))
-
-
-_KEYS = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
-
-
 def test_stencil_exact_on_quadratics():
     # both corner stencils are exact on quadratics, so a : D^2 f is exact
     # away from the zero-extended boundary whatever the signs of a_ij
@@ -285,12 +275,12 @@ def test_stencil_exact_on_quadratics():
         B = rng.normal(size=(3, 3))
         B = B + B.T
         values = np.einsum("...i,ij,...j->...", X, B, X) + X @ rng.normal(size=3) + 1.0
-        a = {key: rng.normal(size=(n, n, n)) for key in _KEYS}
-        exact = sum((1.0 if i == j else 2.0) * a[key] * 2.0 * B[i, j]
-                    for key, (i, j) in _KEYS.items())
-        got = _a_dot_d2(values, h, a)
+        a = [rng.normal(size=(n, n, n)) for _ in PAIRS]
+        exact = sum((1.0 if i == j else 2.0) * a_ij * 2.0 * B[i, j]
+                    for (i, j), a_ij in zip(PAIRS, a))
+        got = solver._second_derivatives(values, h, a)
         inner = (slice(1, -1),) * 3
-        scale = sum(np.abs(a[key]) * 2.0 * abs(B[i, j]) for key, (i, j) in _KEYS.items())
+        scale = sum(np.abs(a_ij) * 2.0 * abs(B[i, j]) for (i, j), a_ij in zip(PAIRS, a))
         assert np.max(np.abs(got - exact)[inner] / scale[inner]) <= 1e-10
 
 
@@ -303,12 +293,12 @@ def test_stencil_monotone_under_diagonal_dominance():
         off = rng.normal(size=3)  # a_xy, a_xz, a_yz
         diag = [abs(off[0]) + abs(off[1]), abs(off[0]) + abs(off[2]),
                 abs(off[1]) + abs(off[2])] + rng.random(3)
-        a = {key: np.full((3, 3, 3), c) for key, c in zip(_KEYS, [*diag, *off])}
+        a = [np.full((3, 3, 3), c) for c in [*diag, *off]]
         # sparse, so that lone corners (where a wrong stencil weighs
         # negatively) are drawn often
         values = rng.random((3, 3, 3)) * (rng.random((3, 3, 3)) < 0.3)
         values[1, 1, 1] = 0.0
-        assert _a_dot_d2(values, h, a)[1, 1, 1] >= 0.0
+        assert solver._second_derivatives(values, h, a)[1, 1, 1] >= 0.0
 
 
 def test_stencil_not_monotone_without_diagonal_dominance():
@@ -316,11 +306,10 @@ def test_stencil_not_monotone_without_diagonal_dominance():
     # diagonally dominant, and two x-face neighbours equal to 1 around a
     # zero give a : D^2 f = (2 * 4.2 - 2 * 5.5) / h^2 = -2.6 / h^2
     h = 0.5
-    a = {key: np.full((3, 3, 3), c)
-         for key, c in zip(_KEYS, [4.2, 7.5, 1.0, -5.5, 0.0, 0.0])}
+    a = [np.full((3, 3, 3), c) for c in [4.2, 7.5, 1.0, -5.5, 0.0, 0.0]]
     values = np.zeros((3, 3, 3))
     values[0, 1, 1] = values[2, 1, 1] = 1.0
-    assert _a_dot_d2(values, h, a)[1, 1, 1] == pytest.approx(-2.6 / h**2, rel=1e-12)
+    assert solver._second_derivatives(values, h, a)[1, 1, 1] == pytest.approx(-2.6 / h**2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +337,11 @@ def direct_coefficients(values, h, gamma):
         return np.where(origin, 3.0 * a_ball**p / (3.0 + p), r2_safe ** (p / 2.0))
 
     f = values.reshape(-1)
-    a = {}
-    for key, (i, j) in {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
-                        "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}.items():
+    a = []
+    for i, j in PAIRS:
         delta = 1.0 if i == j else 0.0
         proj = np.where(origin, 2.0 / 3.0 * delta, delta - z[..., i] * z[..., j] / r2_safe)
-        a[key] = (h**3 * (radial(2.0 + gamma) * proj) @ f).reshape(values.shape)
+        a.append((h**3 * (radial(2.0 + gamma) * proj) @ f).reshape(values.shape))
     if gamma == -3.0:
         c = 8.0 * np.pi * values
     else:
@@ -366,7 +354,6 @@ def test_coefficient_engine_gaussian_closed_form_order():
     # relative a_bar error 5.44e-4, 7.70e-5 and 1.88e-5 at n = 16, 24, 32
     # (observed order 4.82 and 4.90, set by the cell-averaged origin term)
     theta = np.diag([0.35, 0.5, 0.65])
-    comps = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2), "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
     errs = []
     for n, tol in ((16, 1e-3), (24, 1.5e-4), (32, 4e-5)):
         gf = make_gaussian_grid(n=n, V=5.0, theta=np.diag(theta))
@@ -374,7 +361,7 @@ def test_coefficient_engine_gaussian_closed_form_order():
         grid = np.stack(np.meshgrid(*(gf.axes(),) * 3, indexing="ij"), axis=-1)
         inner = np.linalg.norm(grid, axis=-1) <= 2.0
         exact = landau_a_bar_g0(grid[inner], np.zeros(3), theta, 1.0)
-        err = max(np.max(np.abs(a[key][inner] - exact[:, i, j])) for key, (i, j) in comps.items())
+        err = max(np.max(np.abs(a_ij[inner] - exact[:, i, j])) for (i, j), a_ij in zip(PAIRS, a))
         errs.append(err / np.max(np.abs(exact)))
         assert errs[-1] <= tol, n
         assert np.max(np.abs(c[inner] - 6.0)) <= 1e-6 * 6.0
@@ -393,9 +380,9 @@ def test_coefficient_engine_matches_direct_sum(n, fft_len, gamma):
     assert engine.size == fft_len
     a, c = engine.coefficients(values)
     a_ref, c_ref = direct_coefficients(values, h, gamma)
-    for key in ("xx", "yy", "zz", "xy", "xz", "yz"):
-        err = np.max(np.abs(a[key] - a_ref[key])) / np.max(np.abs(a_ref[key]))
-        assert err <= 1e-12, key
+    for pair, a_ij, ref in zip(PAIRS, a, a_ref):
+        err = np.max(np.abs(a_ij - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12, pair
     assert np.max(np.abs(c - c_ref)) / np.max(np.abs(c_ref)) <= 1e-12
 
 
@@ -407,14 +394,14 @@ def test_coefficient_engine_leaves_inputs_and_spectra_intact(gamma):
     values = np.random.default_rng(7).random((n, n, n))
     values_before = values.copy()
     engine = _CoefficientEngine(n, 0.7, gamma)
-    hats_before = {key: kh.copy() for key, kh in engine.kernel_hats.items()}
+    hats_before = [kh.copy() for kh in engine.kernel_hats]
     c_hat_before = None if engine.c_hat is None else engine.c_hat.copy()
     a1, c1 = engine.coefficients(values)
     a2, c2 = engine.coefficients(values)
-    assert all(np.array_equal(a1[key], a2[key]) for key in a1)
+    assert all(np.array_equal(x, y) for x, y in zip(a1, a2))
     assert np.array_equal(c1, c2)
     assert np.array_equal(values, values_before)
-    assert all(np.array_equal(engine.kernel_hats[key], kh) for key, kh in hats_before.items())
+    assert all(np.array_equal(kh, before) for kh, before in zip(engine.kernel_hats, hats_before))
     if c_hat_before is None:
         assert engine.c_hat is None
     else:
@@ -470,7 +457,7 @@ def test_cached_kernel_spectra_are_read_only(engine_builds):
     _short_run(-2.0)
     engine = solver._engine(16, 2.0 * 5.0 / 15, -2.0)
     assert len(engine_builds) == 1
-    for hat in (*engine.kernel_hats.values(), engine.c_hat):
+    for hat in (*engine.kernel_hats, engine.c_hat):
         with pytest.raises(ValueError):
             hat[0, 0, 0] = 1.0
 
@@ -481,23 +468,21 @@ def test_kernel_arrays_match_dense_construction(gamma):
     # on dense ones
     L, h = 11, 0.7
     k = ((np.arange(L) + L // 2) % L - L // 2) * h
-    X, Y, Z = np.meshgrid(k, k, k, indexing="ij")
+    X, Y, Z = axes = np.meshgrid(k, k, k, indexing="ij")
     r2 = X * X + Y * Y + Z * Z
     r2[0, 0, 0] = 1.0
     r = np.sqrt(r2)
     rad = r ** (2.0 + gamma)
     a_eq = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-    dense = {}
-    for key, zi, zj in (("xx", X, X), ("yy", Y, Y), ("zz", Z, Z),
-                        ("xy", X, Y), ("xz", X, Z), ("yz", Y, Z)):
-        diag = key[0] == key[1]
-        K = rad * ((1.0 if diag else 0.0) - zi * zj / r2)
-        K[0, 0, 0] = 3.0 * a_eq ** (2.0 + gamma) / (5.0 + gamma) * (2.0 / 3.0 if diag else 0.0)
-        dense[key] = K
+    dense = []
+    for i, j in PAIRS:
+        K = rad * ((1.0 if i == j else 0.0) - axes[i] * axes[j] / r2)
+        K[0, 0, 0] = 3.0 * a_eq ** (2.0 + gamma) / (5.0 + gamma) * (2.0 / 3.0 if i == j else 0.0)
+        dense.append(K)
     comps, radc = _kernel_arrays(L, h, gamma)
-    assert list(comps) == list(dense)
-    for key, K in comps.items():
-        assert np.array_equal(K, dense[key]), key
+    assert len(comps) == len(dense)
+    for pair, K, K_dense in zip(PAIRS, comps, dense):
+        assert np.array_equal(K, K_dense), pair
     if gamma > -3.0:
         dense_c = r**gamma
         dense_c[0, 0, 0] = 3.0 * a_eq**gamma / (3.0 + gamma)

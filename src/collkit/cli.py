@@ -64,7 +64,9 @@ def _parse_config(path):
         with open(path) as fh:
             cp.read_file(fh)
     except configparser.Error as exc:
-        line = getattr(exc, "lineno", "?")
+        # a ParsingError has no lineno; it lists (line, text) pairs instead
+        errors = getattr(exc, "errors", None) or [("?",)]
+        line = getattr(exc, "lineno", errors[0][0])
         raise ConfigError(f"{path}: parse error at line {line}: {exc}") from None
     if "run" not in cp or "command" not in cp["run"]:
         raise ConfigError(f"{path}: missing [run] command")

@@ -24,7 +24,7 @@ these logs feed the Gronwall-bound and Riccati-envelope checks.
 
 import csv
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import List
 
 import numpy as np
@@ -50,18 +50,21 @@ def _check_grid(n, V):
 class GridField:
     """Finite, nonnegative values on the uniform grid v_i = -V + i*h, h = 2V/(n-1)."""
 
-    n: int
     V: float
     values: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.n,) * 3:
-            raise ValueError("values must be an n^3 array")
+        if self.values.ndim != 3 or len(set(self.values.shape)) != 1:
+            raise ValueError(f"values must be an n^3 array, got shape {self.values.shape}")
         _check_grid(self.n, self.V)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
+
+    @property
+    def n(self):  # values is an n^3 array
+        return self.values.shape[0]
 
     @property
     def h(self):
@@ -76,19 +79,23 @@ class GridField:
         if mx > 0 and neg > NEGATIVITY_LIMIT * mx:
             raise RunAbortedError(f"negativity {neg:.3e} exceeds limit")
         b = self.values
-        ring = max(
-            float(np.max(np.abs(b[0]))), float(np.max(np.abs(b[-1]))),
-            float(np.max(np.abs(b[:, 0]))), float(np.max(np.abs(b[:, -1]))),
-            float(np.max(np.abs(b[:, :, 0]))), float(np.max(np.abs(b[:, :, -1]))),
-        )
+        ends = slice(None, None, self.n - 1)  # the first and last plane of an axis
+        ring = max(float(np.max(np.abs(b[ends]))), float(np.max(np.abs(b[:, ends]))),
+                   float(np.max(np.abs(b[:, :, ends]))))
         if mx > 0 and ring > CONTAINMENT_LIMIT * mx:
             raise RunAbortedError(f"boundary ring value {ring:.3e} breaks containment")
         return neg
 
 
+_CSV_COMPONENTS = {"momentum": ("px", "py", "pz")}  # RunLog columns split in the CSV
+
+
 @dataclass
 class RunLog:
-    """Per-step record of time, weighted sup norms, moments, and negativity."""
+    """Per-step record of time, weighted sup norms, moments, and negativity.
+
+    The fields, in order, are the columns of ``append`` and of the CSV.
+    """
 
     t: List[float] = dc_field(default_factory=list)
     norm_m: List[float] = dc_field(default_factory=list)
@@ -98,28 +105,23 @@ class RunLog:
     energy: List[float] = dc_field(default_factory=list)
     negmax: List[float] = dc_field(default_factory=list)
 
-    def append(self, t, nm, ndpg, mass, mom, energy, neg):
-        if self.t and t <= self.t[-1]:
+    def append(self, *row):
+        columns = fields(self)
+        if len(row) != len(columns):
+            raise TypeError(f"a RunLog row has {len(columns)} values, got {len(row)}")
+        if self.t and row[0] <= self.t[-1]:
             raise ValueError("log times must be strictly increasing")
-        self.t.append(t)
-        self.norm_m.append(nm)
-        self.norm_dpg.append(ndpg)
-        self.mass.append(mass)
-        self.momentum.append(tuple(mom))
-        self.energy.append(energy)
-        self.negmax.append(neg)
+        for column, value in zip(columns, row):
+            getattr(self, column.name).append(value)
 
     def write_csv(self, path):
+        names = [column.name for column in fields(self)]
         with open(path, "w", newline="\n") as fh:
             wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["t", "norm_m", "norm_dpg", "mass", "px", "py", "pz",
-                         "energy", "negmax"])
-            for i in range(len(self.t)):
-                px, py, pz = self.momentum[i]
-                wr.writerow([repr(self.t[i]), repr(self.norm_m[i]),
-                             repr(self.norm_dpg[i]), repr(self.mass[i]),
-                             repr(px), repr(py), repr(pz),
-                             repr(self.energy[i]), repr(self.negmax[i])])
+            wr.writerow([c for name in names for c in _CSV_COMPONENTS.get(name, (name,))])
+            for row in zip(*(getattr(self, name) for name in names)):
+                wr.writerow([repr(x) for name, value in zip(names, row)
+                             for x in (value if name in _CSV_COMPONENTS else (value,))])
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +288,17 @@ def _rhs(values, engine, h):
             float(np.max(a[0] + a[1] + a[2])), float(np.max(c)))
 
 
-def _record(log, field, weights_m, weights_dpg, coords, h, neg):
-    vals = field.values
-    h3 = h**3
-    mass = float(np.sum(vals)) * h3
-    mom = [float(np.sum(coords[i] * vals)) * h3 for i in range(3)]
-    en = float(np.sum((coords[0] ** 2 + coords[1] ** 2 + coords[2] ** 2) * vals)) * h3
-    log.append(field.time, float(np.max(weights_m * vals)),
-               float(np.max(weights_dpg * vals)), mass, mom, en, neg)
-
-
 def homog_run(f0, k, q, t_end, cfl, m=5.0):
     """Advance the homogeneous Landau equation from f0 to t_end.
 
-    Returns the RunLog; raises RunAbortedError on negativity, containment,
-    or step-size failure, with the partial log attached unless f0 itself
-    is rejected (then ``log`` is None: there is no row to report).
+    Each row, the first included, is checked, clipped at zero, held to the
+    reaction bound on the growth of its max (from the second row on) and
+    logged; then the run stops, at t_end or at a zero field (which is
+    stationary), or steps.  Returns the RunLog; raises RunAbortedError on
+    negativity, containment, max growth or step-size failure, with the
+    partial log attached unless f0 itself is rejected (then ``log`` is
+    None).  q is not read, the solver has no quadrature; it stays because
+    the CLI and the benchmark pass it by position.
     """
     if k.operator != "landau" or k.dim != 3:
         raise UnsupportedParameterError("solver supports the 3-D Landau operator only")
@@ -312,51 +309,47 @@ def homog_run(f0, k, q, t_end, cfl, m=5.0):
                          f"got {t_end}")
     if not 0.0 <= m < np.inf:
         raise ValueError(f"weight exponent m must be finite and >= 0, got {m}")
-    n, h, V = f0.n, f0.h, f0.V
+    h, h3 = f0.h, f0.h**3
     ax = f0.axes()
-    coords = np.meshgrid(ax, ax, ax, indexing="ij")
-    brk = np.sqrt(1.0 + coords[0] ** 2 + coords[1] ** 2 + coords[2] ** 2)
+    X, Y, Z = coords = np.meshgrid(ax, ax, ax, indexing="ij")
+    brk = np.sqrt(1.0 + X**2 + Y**2 + Z**2)  # summed from 1, not 1 + speed2: other bits
     weights_m = brk**m
     weights_dpg = brk ** (3.0 + k.gamma)
-    engine = _engine(n, h, k.gamma)
+    speed2 = X**2 + Y**2 + Z**2
+    engine = _engine(f0.n, h, k.gamma)
 
     log = RunLog()
-    field = GridField(n=n, V=V, values=f0.values.copy(), time=f0.time)
-    neg = field.check_validity()
-    field.values = np.maximum(field.values, 0.0)
-    _record(log, field, weights_m, weights_dpg, coords, h, neg)
-
-    if np.max(field.values) == 0.0:
-        return log
-
+    field = replace(f0)
     try:
-        while field.time < t_end - 1e-15:
-            rhs0, a_max, c_max = _rhs(field.values, engine, h)
+        while True:
+            neg = field.check_validity()
+            field.values = vals = np.maximum(field.values, 0.0)
+            new_max = float(np.max(vals))
+            # maximum-principle surrogate: growth of the max is reaction-limited
+            if log.t and new_max > ((1.0 + dt * c_max) * old_max
+                                    + (10.0 * (dt * c_max) ** 2 * old_max + 1e-12)):
+                raise RunAbortedError("maximum grew faster than the reaction bound")
+            log.append(field.time, float(np.max(weights_m * vals)),
+                       float(np.max(weights_dpg * vals)), float(np.sum(vals)) * h3,
+                       tuple(float(np.sum(x * vals)) * h3 for x in coords),
+                       float(np.sum(speed2 * vals)) * h3, neg)
+            if new_max == 0.0 or not field.time < t_end - 1e-15:
+                return log
+
+            rhs0, a_max, c_max = _rhs(vals, engine, h)
             if a_max <= 0.0:
                 raise RunAbortedError("diffusion coefficient vanished")
             dt = cfl * h * h / (6.0 * a_max)
             if dt < 1e-15:
                 raise RunAbortedError("time step underflow")
             dt = min(dt, t_end - field.time)
-            mid = field.values + 0.5 * dt * rhs0
-            rhs1, _, _ = _rhs(mid, engine, h)
-            new_vals = field.values + dt * rhs1
-
-            old_max = float(np.max(field.values))
-            field.values = new_vals
+            rhs1, _, _ = _rhs(vals + 0.5 * dt * rhs0, engine, h)
+            old_max = new_max
+            field.values = vals + dt * rhs1
             field.time += dt
-            neg = field.check_validity()
-            field.values = np.maximum(field.values, 0.0)
-            # maximum-principle surrogate: growth of the max is reaction-limited
-            new_max = float(np.max(field.values))
-            slack = 10.0 * (dt * c_max) ** 2 * old_max + 1e-12
-            if new_max > (1.0 + dt * c_max) * old_max + slack:
-                raise RunAbortedError("maximum grew faster than the reaction bound")
-            _record(log, field, weights_m, weights_dpg, coords, h, neg)
     except RunAbortedError as exc:
-        exc.log = log
+        exc.log = log if log.t else None
         raise
-    return log
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +365,8 @@ def gronwall_check(log, C):
     """
     if not 0.0 < C < np.inf:
         raise ValueError(f"C must be finite and positive, got {C}")
+    if not log.t:
+        raise ValueError("the run log has no rows")
     t = np.asarray(log.t)
     y = np.asarray(log.norm_m)
     g = np.asarray(log.norm_dpg)
@@ -396,6 +391,8 @@ def riccati_check(log, C, T, rel_tol=1e-9):
         raise ValueError(f"C must be finite and positive, got {C}")
     if not np.isfinite(T):
         raise ValueError(f"T must be finite, got {T}")
+    if not log.t:
+        raise ValueError("the run log has no rows")
     t = np.asarray(log.t)
     y = np.asarray(log.norm_m)
     dt = t[None, :] - t[:, None]          # (s, t) pairs, positive above diagonal
@@ -437,6 +434,6 @@ def make_gaussian_grid(n, V, rho=1.0, theta=1.0):
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     expo = X**2 / th[0] + Y**2 / th[1] + Z**2 / th[2]
     vals = rho * ((2.0 * np.pi) ** 3 * np.prod(th)) ** -0.5 * np.exp(-0.5 * expo)
-    gf = GridField(n=n, V=V, values=vals)
+    gf = GridField(V=V, values=vals)
     gf.check_validity()  # box must be large enough for the declared temperature
     return gf

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import collkit
-from collkit import QuadratureScheme, RunAbortedError, solver
+from collkit import KernelSpec, QuadratureScheme, RunAbortedError, solver
+from collkit.boltzmann import q_boltzmann_sigma
 from collkit.cli import COMMANDS, main
+from collkit.fields import bump_field
+
+from conftest import b_cos2
 
 
 def run_cli(tmp_path, config_text, name="cfg.ini", out="out"):
@@ -275,6 +280,34 @@ def test_command_table_is_the_whitelist(tmp_path, capsys):
                               out="unread")
             assert code == 1, (cmd, section, key)
             assert "unknown key" in capsys.readouterr().err, (cmd, section, key)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("command = m0-search\n", 1),
+    ("[run]\ncommand = m0-search\ncommand = homog-run\n", 3),
+    ("[run]\ncommand m0-search\n", 2),
+], ids=["no-section-header", "duplicate-option", "no-equals"])
+def test_malformed_config_names_its_line(tmp_path, capsys, text, line):
+    code, out_dir = run_cli(tmp_path, text)
+    assert code == 1
+    assert f"parse error at line {line}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_boltzmann_eval_cos2_bump_sigma(tmp_path):
+    # the CLI's b = cos2 and field = bump are the library's cos^2 kernel and
+    # default bump, to the last bit
+    code, out_dir = run_cli(
+        tmp_path,
+        "[run]\ncommand = boltzmann-eval\n\n[kernel]\nb = cos2\n\n"
+        "[quadrature]\nradial_nodes = 8\nangular_nodes = 8\nhyperplane_nodes = 10\n\n"
+        "[boltzmann-eval]\nfield = bump\npoint = 0.3 -0.2 0.1\nrepresentation = sigma\n",
+    )
+    assert code == 0
+    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_cos2)
+    q = QuadratureScheme(radial_nodes=8, angular_nodes=8, hyperplane_nodes=10)
+    expected = q_boltzmann_sigma(bump_field(dim=3), np.array([0.3, -0.2, 0.1]), k, q)
+    assert json.loads((out_dir / "result.json").read_text())["value"] == expected
 
 
 def test_unknown_command_rejected(tmp_path):

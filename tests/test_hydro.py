@@ -60,6 +60,12 @@ def test_specific_entropy_value():
     assert specific_entropy(s) == pytest.approx(math.log(2.0 / 3.0), abs=1e-14)
 
 
+def test_specific_entropy_rejects_vacuum():
+    # rho = 0 is a valid state, but log(rho^{2/3}) is not finite
+    with pytest.raises(ColdGasError, match="rho > 0"):
+        specific_entropy(EulerState(rho=0.0, u=(0, 0, 0), theta=1.0))
+
+
 def test_entropy_bound_isentropic_equality():
     s0 = EulerState(rho=1.0, u=(0, 0, 0), theta=1.0)
     holds, C = entropy_bound([s0], EulerState(rho=8.0, u=(0, 0, 0), theta=4.0))

@@ -105,6 +105,8 @@ CASES = {
     "riccati-C-nan": (lambda q: riccati_check(two_row_log(), np.nan, 1.0), ValueError, "C must"),
     "riccati-T-nan": (lambda q: riccati_check(two_row_log(), 1.0, np.nan), ValueError, "T must"),
     "riccati-T-inf": (lambda q: riccati_check(two_row_log(), 1.0, np.inf), ValueError, "T must"),
+    "gronwall-empty-log": (lambda q: gronwall_check(RunLog(), 1.0), ValueError, "no rows"),
+    "riccati-empty-log": (lambda q: riccati_check(RunLog(), 1.0, 1.0), ValueError, "no rows"),
     "entropy-empty": (lambda q: entropy_bound([], None), ValueError, "at least one"),
     "scenario-window": (lambda q: ImplosionScenario("w", 0.5, 2.0, False, "spherical"),
                         ValueError, "lambda window"),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -41,27 +42,33 @@ def grid_moments(gf):
 
 def test_gridfield_shape_validation():
     with pytest.raises(ValueError):
-        GridField(n=8, V=4.0, values=np.zeros((8, 8, 7)))
+        GridField(V=4.0, values=np.zeros((8, 8, 7)))
     with pytest.raises(ValueError):
-        GridField(n=3, V=4.0, values=np.zeros((3, 3, 3)))
+        GridField(V=4.0, values=np.zeros((3, 3, 3)))
 
 
 def test_check_validity_negativity():
     vals = np.zeros((8, 8, 8))
     vals[4, 4, 4] = 1.0
     vals[3, 3, 3] = -1e-6
-    gf = GridField(n=8, V=4.0, values=vals)
+    gf = GridField(V=4.0, values=vals)
     with pytest.raises(RunAbortedError):
         gf.check_validity()
 
 
-def test_check_validity_containment():
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("end", [0, -1], ids=["minus-V", "plus-V"])
+def test_check_validity_containment(axis, end):
     vals = np.zeros((8, 8, 8))
     vals[4, 4, 4] = 1.0
-    vals[0, 2, 2] = 1e-4  # boundary plane
-    gf = GridField(n=8, V=4.0, values=vals)
-    with pytest.raises(RunAbortedError):
+    face = [2, 2, 2]
+    face[axis] = end
+    vals[tuple(face)] = 1e-4  # boundary plane
+    gf = GridField(V=4.0, values=vals)
+    with pytest.raises(RunAbortedError, match="breaks containment"):
         gf.check_validity()
+    vals[tuple(face)] = 0.5e-8  # below the containment limit
+    assert GridField(V=4.0, values=vals).check_validity() == 0.0
 
 
 def test_make_gaussian_grid_moments():
@@ -111,6 +118,29 @@ def test_runlog_csv_roundtrip(tmp_path):
     # repr round-trips floats exactly
     assert float(rows[0]["px"]) == 1e-16
     assert float(rows[1]["negmax"]) == 1e-13
+
+
+def test_runlog_csv_header_is_the_field_list(tmp_path):
+    log = RunLog()
+    log.append(0.0, 0.59, 0.61, 1.0, (0.0, 0.0, 0.0), 1.5, 0.0)
+    path = tmp_path / "runlog.csv"
+    log.write_csv(path)
+    names = [f.name for f in dataclasses.fields(RunLog)]
+    expected = [c for name in names for c in (("px", "py", "pz") if name == "momentum"
+                                              else (name,))]
+    with open(path, newline="") as fh:
+        assert next(csv.reader(fh)) == expected
+
+
+@pytest.mark.parametrize("row", [
+    (0.0, 1.0, 1.0, 1.0, (0, 0, 0), 1.0),
+    (0.0, 1.0, 1.0, 1.0, (0, 0, 0), 1.0, 0.0, 0.0),
+], ids=["short", "long"])
+def test_runlog_append_rejects_wrong_length(row):
+    log = RunLog()
+    with pytest.raises(TypeError, match="has 7 values"):
+        log.append(*row)
+    assert log == RunLog()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +195,15 @@ def test_riccati_detects_super_riccati_growth():
     assert not out["pairwise_ok"]
 
 
+def test_riccati_blowup_time_inside_the_log_fails_the_rate_check():
+    # a blowup time at or before the last logged time cannot bound the log
+    t = np.linspace(0.0, 1.0, 5)
+    log = synthetic_log(t, np.ones_like(t), np.zeros_like(t))
+    for T in (1.0, 0.5):
+        assert riccati_check(log, 0.1, T)["blowup_rate_ok"] is False
+    assert riccati_check(log, 0.1, 20.0)["blowup_rate_ok"] is True
+
+
 # ---------------------------------------------------------------------------
 # Time stepping
 
@@ -186,9 +225,9 @@ def _run_from(t_end=0.01, m=5.0):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: GridField(n=8, V=np.nan, values=np.zeros((8, 8, 8))),
-    lambda: GridField(n=8, V=np.inf, values=np.zeros((8, 8, 8))),
-    lambda: GridField(n=8, V=4.0, values=np.full((8, 8, 8), np.nan)),
+    lambda: GridField(V=np.nan, values=np.zeros((8, 8, 8))),
+    lambda: GridField(V=np.inf, values=np.zeros((8, 8, 8))),
+    lambda: GridField(V=4.0, values=np.full((8, 8, 8), np.nan)),
     lambda: make_gaussian_grid(n=8, V=np.nan),
     lambda: make_gaussian_grid(n=8, V=np.inf),
     lambda: make_gaussian_grid(n=8, V=4.0, rho=np.nan),
@@ -226,7 +265,7 @@ def test_homog_run_conservation_and_positivity(q_fast, k_coulomb):
 
 
 def test_homog_run_zero_field_is_stationary(q_fast, k_coulomb):
-    gf = GridField(n=8, V=4.0, values=np.zeros((8, 8, 8)))
+    gf = GridField(V=4.0, values=np.zeros((8, 8, 8)))
     log = homog_run(gf, k_coulomb, q_fast, t_end=0.01, cfl=0.1)
     assert log.norm_m == [0.0]
 
@@ -235,7 +274,7 @@ def test_rejected_initial_field_aborts_without_log(q_fast, k_coulomb):
     vals = np.zeros((8, 8, 8))
     vals[4, 4, 4], vals[3, 3, 3] = 1.0, -1e-6
     with pytest.raises(RunAbortedError, match="negativity") as info:
-        homog_run(GridField(n=8, V=4.0, values=vals), k_coulomb, q_fast, t_end=0.01, cfl=0.1)
+        homog_run(GridField(V=4.0, values=vals), k_coulomb, q_fast, t_end=0.01, cfl=0.1)
     assert info.value.log is None
 
 

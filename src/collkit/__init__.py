@@ -14,7 +14,6 @@ from .core import (
 )
 from .exceptions import (
     CapabilityError,
-    ColdGasError,
     CollkitError,
     ConfigurationError,
     EvaluationError,
@@ -23,7 +22,7 @@ from .exceptions import (
     RunAbortedError,
     UnsupportedParameterError,
 )
-from .fields import bump_field, bump_suite, gaussian_field, shell_field
+from .fields import bump_field, bump_suite, gaussian_field
 from .landau import LandauCoefficients, landau_coefficients, q_landau
 from .boltzmann import post_collision_map, q_boltzmann_carleman, q_boltzmann_sigma
 from .verify import (
@@ -33,22 +32,10 @@ from .verify import (
     boltzmann_hyperplane_integral,
     boltzmann_m0_search,
     contact_estimate_check,
-    crude_bound_check,
     landau_delta_search,
     landau_integrand_sup,
 )
 from .solver import GridField, RunLog, gronwall_check, homog_run, riccati_check
-from .hydro import (
-    EulerState,
-    ImplosionScenario,
-    admissible_exponent_check,
-    blowup_integrability_condition,
-    entropy_bound,
-    load_catalog,
-    maxwellian_field,
-    maxwellian_moments,
-    maxwellian_weighted_norm,
-    scenario_verdict,
-)
+from .hydro import ImplosionScenario, load_catalog, scenario_verdict
 
 __version__ = "0.1.0"

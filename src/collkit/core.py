@@ -24,8 +24,8 @@ class VelocityField:
     ``eval`` maps an array of shape (..., dim) to values of shape (...);
     ``dim`` and ``eval`` are a complete field.  ``hess_eval`` is optional:
     without it, :meth:`hessian` uses central differences.  A field declares
-    nothing about itself; a check that needs a hypothesis (the crude
-    bound's decay and void) takes it as an argument and samples it.
+    nothing about itself; a check that needs a hypothesis about it, such
+    as :meth:`collkit.verify.ContactConfiguration.validate`, samples it.
 
     Instances are immutable; all evaluations must be pure.  Equal fields
     therefore share samples: the Boltzmann routes reuse the values of
@@ -229,10 +229,11 @@ class KernelSpec:
         return self.b(x) + self.b(np.sqrt(np.maximum(1.0 - x * x, 0.0)))
 
     def checked_point(self, f, v, route):
-        """``v`` as a float array, once f and v are known to have this kernel's dimension.
+        """``v`` as a float array, once f and v are known to have this kernel's
+        dimension and v is known to be finite.
 
-        A mismatch is rejected here, naming ``route``, instead of reaching
-        numpy as a broadcasting error deep inside the quadrature.
+        A mismatch or a NaN or infinite coordinate is rejected here, naming
+        ``route``, instead of failing deep inside the quadrature.
         """
         v = np.asarray(v, dtype=float)
         if f.dim != self.dim:
@@ -243,6 +244,8 @@ class KernelSpec:
             raise ValueError(
                 f"{route}: point v has shape {v.shape}, expected ({self.dim},)"
             )
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{route}: point v must be finite, got {v.tolist()}")
         return v
 
 

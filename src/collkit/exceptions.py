@@ -22,15 +22,11 @@ class KernelRejectionError(CollkitError):
 
 
 class ConfigurationError(CollkitError):
-    """A contact or crude-bound configuration violates its hypotheses."""
+    """A contact configuration violates its hypotheses."""
 
 
 class InfeasibleError(CollkitError):
     """A threshold search has no feasible region for the given parameters."""
-
-
-class ColdGasError(CollkitError):
-    """Zero-temperature (cold gas) state where a Maxwellian is degenerate."""
 
 
 class RunAbortedError(CollkitError):

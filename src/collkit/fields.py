@@ -1,4 +1,4 @@
-"""Ready-made velocity fields: Gaussians, compact bumps, and shell profiles.
+"""Ready-made velocity fields: Gaussians and compact bumps.
 
 These are the standard inputs of the test and verification workflows.
 Each constructor returns a :class:`collkit.core.VelocityField`; the Gaussian
@@ -71,28 +71,6 @@ def bump_field(center=None, radius=1.0, amplitude=1.0, dim=3):
         )
 
     return VelocityField(dim=dim, eval=ev, hess_eval=he)
-
-
-def shell_field(m, delta, dim=3):
-    """Smoothed |v|^{-m} cut off to zero inside |v| < delta.
-
-    The crude-bound hypotheses for the same m and delta: f <= |v|^{-m} everywhere,
-    f == 0 on B_delta, f(e) = 1 for any unit vector e outside the taper zone.
-    The taper is a smoothstep over [delta, 1.02 delta].
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("shell_field requires 0 < delta < 1")
-    lo, hi = delta, delta * 1.02
-
-    def ev(v):
-        rr = np.linalg.norm(np.asarray(v, dtype=float), axis=-1)
-        t = np.clip((rr - lo) / (hi - lo), 0.0, 1.0)
-        chi = t * t * (3.0 - 2.0 * t)
-        with np.errstate(divide="ignore"):
-            pw = np.where(rr > 0, rr, 1.0) ** (-m)
-        return chi * np.minimum(pw, lo ** (-m))
-
-    return VelocityField(dim=dim, eval=ev)
 
 
 def bump_suite(n, dim=3):

@@ -179,16 +179,6 @@ def bracket(v):
     return np.sqrt(1.0 + np.sum(v * v, axis=-1))
 
 
-def weighted_gaussian_peak(k, a, theta):
-    """Max over t of (1 + t^2)^{k/2} exp(-(t - a)^2 / (2 theta)): sup of <v>^k times a Gaussian.
-
-    Taken at the real roots of the stationarity cubic t^3 - a t^2 + (1 - k theta) t - a;
-    the real parts of complex roots are harmless extra candidates.
-    """
-    t = np.roots([1.0, -a, 1.0 - k * theta, -a]).real
-    return float(np.max((1.0 + t * t) ** (k / 2.0) * np.exp(-((t - a) ** 2) / (2.0 * theta))))
-
-
 def sphere_area(dim):
     """Surface measure |S^{dim-1}|."""
     from scipy.special import gamma as _g

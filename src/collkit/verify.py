@@ -27,8 +27,7 @@ Contents:
   one exponential of -m log|z| (expm1 for rho <= 0.05, exp beyond), summed
   over phi before the phi-free factors are applied.  The rule is built once
   per scheme (:func:`_hyperplane_rule`), and the arithmetic runs in
-  cache-sized blocks;
-* the crude large-velocity bound Q(f,f)(e) for shell-type fields.
+  cache-sized blocks.
 
 Search resolutions are fixed, and each report records the ones it used.
 Boltzmann m0: probes double up to m = 200, stop at hi - lo <= 1e-4 max(1, lo).
@@ -152,13 +151,6 @@ def _sign_search(fn, probes, mid, converged, ok):
 # Contact-point estimate
 
 
-def _q_point(f, v, k, q):
-    """Q(f,f)(v) by the kernel's operator: Landau, or Boltzmann in Carleman form."""
-    if k.operator == "landau":
-        return q_landau(f, v, k, q)
-    return q_boltzmann_carleman(f, v, k, q)
-
-
 def contact_estimate_check(cfg, k, q):
     """Q(f,f)(v0) and the bound unit b(v0)^2 <v0>^{d+gamma}.
 
@@ -167,7 +159,9 @@ def contact_estimate_check(cfg, k, q):
     estimate (whose analytic constant is non-explicit).
     """
     cfg.validate(q)
-    lhs = _q_point(cfg.field, cfg.v0, k, q)
+    # Q(f,f)(v0) by the kernel's operator: Landau, or Boltzmann in Carleman form
+    evaluate = q_landau if k.operator == "landau" else q_boltzmann_carleman
+    lhs = evaluate(cfg.field, cfg.v0, k, q)
     b0 = float(cfg.barrier.value(cfg.v0))
     bound_unit = b0 * b0 * float(bracket(cfg.v0)) ** (k.dim + k.gamma)
     return lhs, bound_unit
@@ -476,35 +470,3 @@ def boltzmann_delta_search(m, k, q):
 def _grid_meta(q):
     # the two fields of the scheme the hyperplane integral reads
     return {"hyperplane_nodes": q.hyperplane_nodes, "angular_nodes": q.angular_nodes}
-
-
-# ---------------------------------------------------------------------------
-# Crude large-velocity bound
-
-
-def crude_bound_check(f, e, m, delta, k, q):
-    """Q(f,f)(e) for a field satisfying the crude-bound hypotheses with m and delta.
-
-    The hypotheses are f <= |v|^{-m} everywhere, f == 0 inside |v| < delta,
-    and f(e) = 1 at the given unit vector; m must be finite and positive and
-    delta in (0, 1).  They are checked at the nodes of the weighted-sup-norm
-    sample and at e.
-    """
-    if not (0.0 < m < np.inf and 0.0 < delta < 1.0):
-        raise ValueError(f"crude bound needs finite m > 0 and 0 < delta < 1, got {m}, {delta}")
-    e = np.asarray(e, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-9:
-        raise ConfigurationError("e must be a unit vector")
-    if abs(float(f(e)) - 1.0) > 1e-6:
-        raise ConfigurationError("field must equal 1 at e")
-    pts = _norm_sample_points(f.dim, q)
-    rr = np.linalg.norm(pts, axis=-1)
-    vals = f(pts)
-    if np.any(vals[rr < delta] != 0.0):
-        raise ConfigurationError(f"field is nonzero inside the void radius {delta}")
-    mask = rr > 1e-12
-    with np.errstate(divide="ignore"):
-        cap = rr[mask] ** (-m)
-    if np.any(vals[mask] > cap * (1.0 + 1e-9)):
-        raise ConfigurationError("field exceeds |v|^{-m} at a sample node")
-    return _q_point(f, e, k, q)

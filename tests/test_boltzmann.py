@@ -219,9 +219,10 @@ def bkw_field(K):
 
 
 # |v| and the relative error allowed there: 5x the larger of the sigma and
-# Carleman errors measured at K = 0.7 and scheme (8, 8, 10) (ROADMAP, item 2),
-# rounded up.  Q changes sign near |v| = 1.16, and at |v| = 2 both routes
-# lose accuracy in the radial tail.
+# Carleman errors measured at K = 0.7 and scheme (8, 8, 10), rounded up.
+# Measured (sigma, Carleman): 1.9e-8, 1.0e-9 at |v| = 0; 4.3e-8, 6.8e-9 at
+# 0.5; 5.2e-6, 6.8e-6 at 1.16; 5.4e-4, 2.8e-4 at 2.  Q changes sign near
+# |v| = 1.16, and at |v| = 2 both routes lose accuracy in the radial tail.
 BKW_TOLERANCES = [(0.0, 1e-7), (0.5, 3e-7), (1.16, 4e-5), (2.0, 3e-3)]
 
 

@@ -15,6 +15,11 @@ Every ``QuadratureScheme`` and ``KernelSpec`` field must be read as an
 attribute by some module outside the class itself: the CLI takes one
 ``[quadrature]`` key per scheme field, and a derived kernel constant that
 only the class reads is work done for nothing.
+
+Every name ``__init__.py`` re-exports must be reached from outside its own
+definition: from another part of the package, the CLI, the acceptance
+criteria or the benchmark.  A public name only its own unit tests call is
+surface nothing uses.
 """
 
 import ast
@@ -25,7 +30,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "collkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "collkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -180,3 +186,40 @@ def test_landau_and_solver_do_not_load_scipy_integrate():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def reexported_names(source):
+    """Names an ``__init__.py`` binds by ``from ... import``."""
+    return sorted(alias.asname or alias.name for node in ast.parse(source).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def referenced_names(source):
+    """Names read as a ``Name`` or an ``Attribute``, except inside their own top-level def or class."""
+    tree = ast.parse(source)
+    owner = {id(sub): node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) for sub in ast.walk(node)}
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            name = n.id if isinstance(n, ast.Name) else n.attr
+            if owner.get(id(n)) != name:
+                names.add(name)
+    return names
+
+
+def test_checker_flags_an_unreached_export():
+    init = "from .a import f, g, h\nfrom .b import K\n"
+    user = ("def f(n):\n    return f(n - 1)\n"  # only f itself calls f
+            "class K:\n    pass\n"
+            "def run(m):\n    return g(1) + m.h\n")
+    assert [n for n in reexported_names(init) if n not in referenced_names(user)] == ["K", "f"]
+
+
+def test_every_export_is_reached():
+    # the package's other modules (cli.py among them), the acceptance
+    # criteria and the benchmark are what use collkit; its unit tests are not
+    users = MODULES + [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "bench").glob("*.py"))
+    reached = set().union(*(referenced_names(p.read_text()) for p in users))
+    assert [n for n in reexported_names((SRC / "__init__.py").read_text())
+            if n not in reached] == []

@@ -16,17 +16,15 @@ from collkit import (
     VelocityField,
     boltzmann_hyperplane_integral,
     boltzmann_m0_search,
-    crude_bound_check,
-    entropy_bound,
     gronwall_check,
     landau_delta_search,
     landau_integrand_sup,
     make_barrier,
-    maxwellian_moments,
+    q_landau,
     riccati_check,
 )
 from collkit.boltzmann import q_boltzmann_carleman, q_boltzmann_sigma
-from collkit.fields import bump_field, gaussian_field, shell_field
+from collkit.fields import bump_field, gaussian_field
 from collkit.hydro import ImplosionScenario
 
 from conftest import b_ones
@@ -52,11 +50,6 @@ def two_row_log():
     return log
 
 
-def crude(f=None, m=7.0, delta=0.3):
-    return lambda q: crude_bound_check(shell_field(7.0, 0.3) if f is None else f,
-                                       E1, m, delta, LANDAU, q)
-
-
 CASES = {
     "contact-negative-field": (
         lambda q: contact(VelocityField(dim=3, eval=negative_field)).validate(q),
@@ -78,25 +71,23 @@ CASES = {
     "hyperplane-w-shape": (lambda q: boltzmann_hyperplane_integral(8.0, np.zeros(2), BOLTZMANN, q),
                            ValueError, "shape"),
     "m0-search-landau": (lambda q: boltzmann_m0_search(LANDAU, q), ValueError, "Boltzmann"),
-    "crude-f(e)-not-1": (crude(f=gaussian_field()), ConfigurationError, "equal 1"),
-    "crude-above-power": (crude(m=8.0), ConfigurationError, "exceeds"),
-    "crude-m-nan": (crude(m=np.nan), ValueError, "finite m > 0"),
-    "crude-m-inf": (crude(m=np.inf), ValueError, "finite m > 0"),
-    "crude-m-zero": (crude(m=0.0), ValueError, "finite m > 0"),
-    "crude-delta-zero": (crude(delta=0.0), ValueError, "0 < delta < 1"),
-    "crude-delta-one": (crude(delta=1.0), ValueError, "0 < delta < 1"),
-    "crude-delta-nan": (crude(delta=np.nan), ValueError, "0 < delta < 1"),
     "sigma-landau": (lambda q: q_boltzmann_sigma(gaussian_field(), E1, LANDAU, q),
                      ValueError, "Boltzmann kernel"),
     "carleman-landau": (lambda q: q_boltzmann_carleman(gaussian_field(), E1, LANDAU, q),
                         ValueError, "Boltzmann kernel"),
+    # a NaN point used to reach the radial panels, an infinite one the field
+    "landau-point-nan": (lambda q: q_landau(gaussian_field(), [np.nan, 0.0, 0.0], LANDAU, q),
+                         ValueError, "landau_coefficients: point v must be finite"),
+    "sigma-point-inf": (lambda q: q_boltzmann_sigma(gaussian_field(), [np.inf, 0.0, 0.0],
+                                                    BOLTZMANN, q),
+                        ValueError, "q_boltzmann_sigma: point v must be finite"),
+    "carleman-point-nan": (lambda q: q_boltzmann_carleman(gaussian_field(), [0.0, np.nan, 0.0],
+                                                          BOLTZMANN, q),
+                           ValueError, "q_boltzmann_carleman: point v must be finite"),
     "gaussian-theta": (lambda q: gaussian_field(theta=0.0), ValueError, "theta > 0"),
     "bump-radius": (lambda q: bump_field(radius=0.0), ValueError, "radius > 0"),
-    "shell-delta-zero": (lambda q: shell_field(7.0, 0.0), ValueError, "0 < delta < 1"),
-    "shell-delta-one": (lambda q: shell_field(7.0, 1.0), ValueError, "0 < delta < 1"),
     "kernel-operator": (lambda q: KernelSpec(dim=3, gamma=0.0, operator="fokker-planck"),
                         ValueError, "unknown operator"),
-    "moments-2d": (lambda q: maxwellian_moments(gaussian_field(dim=2), q), ValueError, "3-D"),
     "gronwall-C-nan": (lambda q: gronwall_check(two_row_log(), np.nan), ValueError, "C must"),
     "gronwall-C-inf": (lambda q: gronwall_check(two_row_log(), np.inf), ValueError, "C must"),
     "riccati-C-negative": (lambda q: riccati_check(two_row_log(), -1.0, 1.0), ValueError,
@@ -107,9 +98,13 @@ CASES = {
     "riccati-T-inf": (lambda q: riccati_check(two_row_log(), 1.0, np.inf), ValueError, "T must"),
     "gronwall-empty-log": (lambda q: gronwall_check(RunLog(), 1.0), ValueError, "no rows"),
     "riccati-empty-log": (lambda q: riccati_check(RunLog(), 1.0, 1.0), ValueError, "no rows"),
-    "entropy-empty": (lambda q: entropy_bound([], None), ValueError, "at least one"),
     "scenario-window": (lambda q: ImplosionScenario("w", 0.5, 2.0, False, "spherical"),
                         ValueError, "lambda window"),
+    # every verdict on such a window used to raise "lambda must be finite and exceed 1"
+    "scenario-max-inf": (lambda q: ImplosionScenario("x", 1.0, np.inf, True, "spherical"),
+                         ValueError, "lambda window"),
+    "scenario-max-one": (lambda q: ImplosionScenario("x", 1.0, 1.0, True, "spherical"),
+                         ValueError, "lambda window"),
     "scenario-symmetry": (lambda q: ImplosionScenario("s", 1.2, 1.5, False, "planar"),
                           ValueError, "unknown symmetry"),
 }

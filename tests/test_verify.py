@@ -17,14 +17,12 @@ from collkit import (
     boltzmann_hyperplane_integral,
     boltzmann_m0_search,
     contact_estimate_check,
-    crude_bound_check,
     landau_delta_search,
     landau_integrand_sup,
     make_barrier,
 )
 from collkit import verify
 from collkit.boltzmann import q_boltzmann_carleman
-from collkit.fields import shell_field
 from collkit.util import circle_rule, geometric_panels, graded_panels, orthonormal_complement
 from collkit.verify import landau_integrand_g
 
@@ -461,7 +459,7 @@ def test_threshold_report_schema():
 
 
 # ---------------------------------------------------------------------------
-# Contact estimate and crude bound
+# Contact estimate
 
 
 def test_contact_ratio_quadratic_homogeneity(q_fast):
@@ -495,30 +493,6 @@ def test_contact_validation_rejects_crossing(q_fast):
         cfg.validate(q_fast)
 
 
-def test_crude_bound_shell(q_fast):
-    k = KernelSpec(dim=3, gamma=0.0, operator="landau")
-    f = shell_field(m=7.0, delta=0.3)
-    e = np.array([1.0, 0.0, 0.0])
-    val = crude_bound_check(f, e, 7.0, 0.3, k, q_fast)
-    assert np.isfinite(val)
-
-
-def test_crude_bound_hypothesis_errors(q_fast):
-    k = KernelSpec(dim=3, gamma=0.0, operator="landau")
-    f = shell_field(m=7.0, delta=0.3)
-    with pytest.raises(ConfigurationError):
-        crude_bound_check(f, np.array([2.0, 0.0, 0.0]), 7.0, 0.3, k, q_fast)  # not unit
-
-
-def test_crude_bound_checks_declared_void(q_fast):
-    # the shell vanishes only on |v| < 0.3; a stated void of 0.5 is false,
-    # and the sample nodes at |v| = 0.38 show it
-    k = KernelSpec(dim=3, gamma=0.0, operator="landau")
-    f = shell_field(m=7.0, delta=0.3)
-    with pytest.raises(ConfigurationError, match="nonzero inside"):
-        crude_bound_check(f, np.array([1.0, 0.0, 0.0]), 7.0, 0.5, k, q_fast)
-
-
 def test_contact_estimate_boltzmann_route(q_fast):
     # q_fast is criterion 2's scheme; a Boltzmann kernel is evaluated by the
     # Carleman split, the route the contact-point estimate rests on
@@ -528,10 +502,3 @@ def test_contact_estimate_boltzmann_route(q_fast):
                                v0=np.array([1.5, 0.0, 0.0]))
     lhs, _ = contact_estimate_check(cfg, k, q_fast)
     assert lhs == q_boltzmann_carleman(cfg.field, cfg.v0, k, q_fast)
-
-
-def test_crude_bound_boltzmann_route(q_fast):
-    k = KernelSpec(dim=3, gamma=0.0, operator="boltzmann", b=b_ones)
-    f = shell_field(m=7.0, delta=0.3)
-    e = np.array([1.0, 0.0, 0.0])
-    assert crude_bound_check(f, e, 7.0, 0.3, k, q_fast) == q_boltzmann_carleman(f, e, k, q_fast)

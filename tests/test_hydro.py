@@ -2,15 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collkit import load_catalog, scenario_verdict
-from collkit.hydro import ImplosionScenario, _eval_lambda, critical_gamma
+from collkit.hydro import LAMBDA_ENVELOPE, ImplosionScenario, _eval_lambda, critical_gamma
 
 SQRT3 = math.sqrt(3.0)
 
 
 # ---------------------------------------------------------------------------
 # Exponent arithmetic
+
+
+def unique(lam):
+    """A scenario whose one exponent lam is attained."""
+    return ImplosionScenario("unique", lam, lam, True, "spherical")
+
+
+def test_blowup_condition_thresholds():
+    # lambda = 8/5: the condition holds iff gamma >= -1/3
+    assert scenario_verdict(unique(1.6), -1.0 / 3.0)["verdict"] == "open"
+    assert scenario_verdict(unique(1.6), -1.0 / 3.0 - 1e-9)["verdict"] == "excluded"
+    # lambda = 3 - sqrt(3): threshold gamma is sqrt(3), above the physical
+    # range, so the condition fails for every admitted gamma
+    lam = 3.0 - SQRT3
+    assert scenario_verdict(unique(lam), 1.0)["verdict"] == "excluded"
+    assert critical_gamma(lam) > 1.0
+    with pytest.raises(ValueError):
+        critical_gamma(1.0)  # no focusing
 
 
 @pytest.mark.parametrize("call", [
@@ -24,13 +44,44 @@ def test_exponent_arithmetic_rejects_non_finite(call):
         call()
 
 
+@given(
+    lam=st.floats(1.01, 5.0),
+    g1=st.floats(-3.0, 1.0),
+    g2=st.floats(-3.0, 1.0),
+    attained=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_blowup_condition_monotone_in_gamma(lam, g1, g2, attained):
+    sc = ImplosionScenario("sc", 1.0, lam, attained, "spherical")
+    lo, hi = min(g1, g2), max(g1, g2)
+    if scenario_verdict(sc, lo)["verdict"] == "open":
+        assert scenario_verdict(sc, hi)["verdict"] == "open"
+
+
 def test_critical_gamma_closed_forms():
     assert critical_gamma(1.6) == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    # lambda = 3 - sqrt(3): the threshold is sqrt(3), above the physical
-    # range, so no admitted gamma meets the rule
     assert critical_gamma(3.0 - SQRT3) == pytest.approx(SQRT3, abs=1e-12)
-    with pytest.raises(ValueError):
-        critical_gamma(1.0)  # no focusing
+
+
+def test_lambda_envelope():
+    assert LAMBDA_ENVELOPE == pytest.approx(1.6, abs=1e-15)
+    # at the largest kappa = -3(lambda-1) the bound lambda < (5+kappa)/2 ends here
+    assert (5.0 - 3.0 * (LAMBDA_ENVELOPE - 1.0)) / 2.0 == pytest.approx(LAMBDA_ENVELOPE, abs=1e-15)
+    # every exponent below the envelope needs gamma above -1/3
+    below = ImplosionScenario("below", 1.0, LAMBDA_ENVELOPE, False, "spherical")
+    assert critical_gamma(LAMBDA_ENVELOPE) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert scenario_verdict(below, -1.0 / 3.0 - 1e-9)["verdict"] == "excluded"
+    assert scenario_verdict(below, -1.0 / 3.0 + 1e-9)["verdict"] == "open"
+
+
+def test_condition_holds_at_its_critical_gamma():
+    # the verdict and gamma_c agree to the last bit; the rule's other float
+    # form, (3+gamma)(1/lambda-1) <= -1, is False at gamma_c for 4,557 of these
+    for lam in np.linspace(1.001, 5.0, 20001):
+        gc = critical_gamma(lam)
+        if -3.0 <= gc <= 1.0:
+            assert scenario_verdict(unique(lam), gc)["verdict"] == "open", lam
+            assert scenario_verdict(unique(lam), np.nextafter(gc, -np.inf))["verdict"] == "excluded", lam
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +141,6 @@ def test_verdict_boundary_at_critical_gamma():
     window = ImplosionScenario("window", 1.0, 1.45, False, "spherical")
     assert scenario_verdict(window, gc)["verdict"] == "excluded"
     assert scenario_verdict(window, np.nextafter(gc, np.inf))["verdict"] == "open"
-    # to the last bit at every lambda; the rule's other float form,
-    # (3+gamma)(1/lambda-1) <= -1, is False at gamma_c for 4,557 of these
-    for lam in np.linspace(1.001, 5.0, 20001):
-        gc = critical_gamma(lam)
-        if -3.0 <= gc <= 1.0:
-            unique = ImplosionScenario("unique", lam, lam, True, "spherical")
-            assert scenario_verdict(unique, gc)["verdict"] == "open", lam
-            assert scenario_verdict(unique, np.nextafter(gc, -np.inf))["verdict"] == "excluded", lam
 
 
 def test_coulomb_always_excluded():

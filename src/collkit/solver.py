@@ -14,6 +14,9 @@ The kernel spectra depend only on (n, h, gamma), so runs share them: the
 engines of the two most recent (n, h, gamma) are kept, about 13 MB of
 read-only spectra at n = 32, and a repeated run builds none.  Field
 transforms, forward and inverse, are pruned to the lines that carry data.
+scipy.fft is imported by the first engine built, not by this module, so
+importing collkit loads no scipy; the benchmark's homog workload therefore
+pays that import in its first round, not in setup_s.
 
 Time stepping is explicit midpoint with the parabolic step restriction
 Delta t = cfl * h^2 / (6 max tr a_bar) refreshed every step.
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import List
 
 import numpy as np
-import scipy.fft
 
 from .exceptions import RunAbortedError, UnsupportedParameterError
 from .util import read_only, sphere_area
@@ -194,9 +196,16 @@ class _CoefficientEngine:
     (overwrite_x), which skips a copy per axis; the field and the cached
     spectra are never overwritten.  The pruned forward transform is
     bit-identical to numpy's rfftn of the padded field.
+
+    scipy.fft is imported inside the methods that call it, so the first
+    engine built is what loads it: ``import collkit`` and every command
+    that steps no solver stay free of scipy, and the benchmark's homog
+    workload pays the import in its first round, not in setup_s.
     """
 
     def __init__(self, n, h, gamma):
+        import scipy.fft
+
         self.n, self.h, self.gamma = n, h, gamma
         self.size = scipy.fft.next_fast_len(2 * n - 1)
         kernels, c_kernel = _kernel_arrays(self.size, h, gamma)
@@ -213,6 +222,8 @@ class _CoefficientEngine:
         # Each transform overwrites its input, which is always the fresh
         # product or a slice of the previous transform's output, never a
         # cached spectrum.
+        import scipy.fft
+
         n, L = self.n, self.size
         out = scipy.fft.ifft(val_hat * kern_hat, axis=0, overwrite_x=True)[:n]
         out = scipy.fft.ifft(out, axis=1, overwrite_x=True)[:, :n]
@@ -223,6 +234,8 @@ class _CoefficientEngine:
         # rfftn of the field zero-padded to L^3, one axis at a time: the
         # last axis transforms the n^2 nonzero lines, the middle one the
         # n (L/2 + 1) lines that are then nonzero, the first one all lines
+        import scipy.fft
+
         L = self.size
         val_hat = scipy.fft.rfft(values, L, axis=2)
         val_hat = scipy.fft.fft(val_hat, L, axis=1, overwrite_x=True)

@@ -8,6 +8,7 @@ byte-reproducible.  The Gauss-Legendre base rule is solved once per order
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -180,7 +181,5 @@ def bracket(v):
 
 
 def sphere_area(dim):
-    """Surface measure |S^{dim-1}|."""
-    from scipy.special import gamma as _g
-
-    return 2.0 * np.pi ** (dim / 2.0) / _g(dim / 2.0)
+    """Surface measure |S^{dim-1}| = 2 pi^(dim/2) / Gamma(dim/2)."""
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)

@@ -11,6 +11,11 @@ collkit modules import each other only at module top level, so the import
 graph is the one the module headers show; an import inside a function can
 hide a cycle.
 
+scipy is the opposite: no collkit module imports it when the module loads,
+only inside the functions that call it, so ``import collkit`` and every
+command that neither steps the solver nor builds a Boltzmann kernel load
+numpy alone.
+
 Every ``QuadratureScheme`` and ``KernelSpec`` field must be read as an
 attribute by some module outside the class itself: the CLI takes one
 ``[quadrature]`` key per scheme field, and a derived kernel constant that
@@ -84,6 +89,30 @@ def test_checker_flags_a_nested_package_import():
 @pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
 def test_package_imports_at_top_level_only(path):
     assert nested_package_imports(path.read_text()) == []
+
+
+def module_level_scipy_imports(source):
+    """Lines of the scipy imports that run when the module loads (outside any function)."""
+    tree = ast.parse(source)
+    in_function = {id(sub) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for sub in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in in_function
+                  and any(name.split(".")[0] == "scipy" for name in imported_modules(node)))
+
+
+def test_checker_flags_a_module_level_scipy_import():
+    src = ("import numpy, scipy.fft as sf\nfrom scipy import special\nfrom . import scipy\n"
+           "try:\n    import scipy.integrate\nexcept ImportError:\n    pass\n"
+           "class C:\n    from scipy.fft import fft\n"
+           "def f():\n    import scipy.fft\n    from scipy.integrate import quad\n")
+    assert module_level_scipy_imports(src) == [1, 2, 5, 9]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert module_level_scipy_imports(path.read_text()) == []
 
 
 # (module, function, parameter) -> why it stays unread
@@ -181,6 +210,33 @@ def test_landau_and_solver_do_not_load_scipy_integrate():
         "assert 'scipy.integrate' in sys.modules\n"
         "assert abs(k.angular_mass - 4.0 * np.pi) < 1e-12\n"
     )
+    run_fresh(script)
+
+
+def test_only_the_solver_loads_scipy_fft():
+    # every pytest session imports scipy.integrate (and with it scipy.fft)
+    # for its warning filter, so only a fresh process shows what loads scipy
+    script = (
+        "import sys\n"
+        "import collkit\n"
+        "from collkit.solver import make_gaussian_grid\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "k = collkit.KernelSpec(dim=3, gamma=-3.0, operator='landau')\n"
+        "grid = make_gaussian_grid(16, 5.0, theta=0.3)\n"
+        "collkit.q_landau(collkit.gaussian_field(), [0.5, 0.0, 0.0], k, collkit.QuadratureScheme())\n"
+        "collkit.landau_delta_search(10.0, 3, -3.0)\n"
+        "collkit.scenario_verdict(collkit.load_catalog()[0], 1.0)\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
+        "collkit.homog_run(grid, k, None, t_end=1e-3, cfl=0.02)\n"
+        "assert 'scipy.fft' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n"
+    )
+    run_fresh(script)
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter that imports collkit from this checkout."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,5 +191,9 @@ def test_bracket_values():
 
 
 def test_sphere_area_values():
-    assert sphere_area(2) == pytest.approx(2.0 * np.pi)
-    assert sphere_area(3) == pytest.approx(4.0 * np.pi)
+    # exact where the closed form is one rounding away, else within an ulp
+    assert sphere_area(1) == 2.0
+    assert sphere_area(2) == 2.0 * math.pi
+    assert sphere_area(3) == 4.0 * math.pi
+    for dim, area in ((4, 2.0 * math.pi**2), (5, 8.0 * math.pi**2 / 3.0)):
+        assert abs(sphere_area(dim) - area) <= math.ulp(area), dim
